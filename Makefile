@@ -41,9 +41,11 @@ obs-smoke:
 parallel-smoke:
 	$(PYTHON) -m pytest -q -m parallel_smoke
 
-# Batched-simulation guardrails: BatchedSimulator vs the per-config
-# oracle on fuzz loops and randomized config batches, frozen-sweep
-# golden regression, bench refusal on divergence (docs/PERFORMANCE.md).
+# Batched-simulation guardrails for the service's engine:
+# BatchedSimulator vs the per-config oracle on fuzz loops and
+# randomized config batches, frozen-sweep golden regression through
+# both engines, vector-lane routing of the bench figures' config
+# groups (docs/PERFORMANCE.md).
 batch-smoke:
 	$(PYTHON) -m pytest -q -m batch_smoke
 

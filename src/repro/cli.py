@@ -269,17 +269,13 @@ def _cmd_run_supervised(workload, args, obs=None) -> int:
 
 
 def _cmd_report_bench(args) -> int:
-    """``report --bench FILE``: pool and batch tables from a BENCH json.
+    """``report --bench FILE``: pool and stage tables from a BENCH json.
 
     Reads the metrics snapshot the bench runner embeds in its report and
     prints one row per worker: tasks run, busy seconds, utilization of
     the sweep's wall clock, and steal count.  Worker ``-1`` (tasks that
     fell back to the driver after repeated worker crashes) appears as
-    ``driver``.  When the report carries batched-lane records, a second
-    table follows: one row per config batch with its lane widths, the
-    vector/scalar/oracle member split, per-phase replay timings and the
-    cold vs steady-state seconds, capped by the sweep's
-    ``batch_speedup``.
+    ``driver``.  The incremental plan's stage table follows.
     """
     import json
 
@@ -354,7 +350,6 @@ def _cmd_report_bench(args) -> int:
         ["worker", "tasks", "busy (s)", "utilization", "steals",
          "retries", "timeouts"], rows
     ))
-    _print_batch_table(report)
     _print_incr_table(report)
     return 0
 
@@ -388,53 +383,6 @@ def _print_incr_table(report: dict) -> None:
           f"({incr.get('compute_scheduled', 0)} compute), "
           f"{len(incr.get('served_points') or ())} point(s) served, "
           f"figure stage {incr.get('figure_stage', '?')}")
-
-
-def _print_batch_table(report: dict) -> None:
-    """The batched-lane table of ``report --bench`` (no-op for reports
-    from before the batched engine recorded lanes)."""
-    batches = report.get("batches") or []
-    if not batches:
-        return
-    phase_keys = ("annotate", "schedule", "compile",
-                  "replay_vector", "replay_scalar")
-    rows = []
-    totals = {key: 0.0 for key in phase_keys}
-    for info in batches:
-        lanes = info.get("lanes", ())
-        widths = "+".join(str(lane["width"]) for lane in lanes) or "?"
-        vector = sum(lane["vector"] for lane in lanes)
-        scalar = sum(lane["scalar"] for lane in lanes)
-        oracle = sum(lane["oracle"] for lane in lanes)
-        phases = info.get("phase_seconds", {})
-        for key in phase_keys:
-            totals[key] += phases.get(key, 0.0)
-        replay = (phases.get("replay_vector", 0.0)
-                  + phases.get("replay_scalar", 0.0))
-        rows.append([
-            info.get("id", "?"),
-            info["size"],
-            widths,
-            f"{vector}/{scalar}/{oracle}",
-            f"{info.get('cold_seconds', info['seconds']):.3f}",
-            f"{info['seconds']:.3f}",
-            f"{replay:.3f}" if phases else "-",
-        ])
-    print()
-    print(format_table(
-        ["batch", "configs", "lane widths", "vec/scal/oracle",
-         "cold (s)", "steady (s)", "replay (s)"], rows
-    ))
-    parts = [f"{key} {totals[key]:.3f}s" for key in phase_keys
-             if totals[key]]
-    if parts:
-        print(f"phases:  {', '.join(parts)}")
-    speedup = report.get("batch_speedup")
-    verdict = ("identical" if report.get("batched_identical")
-               else "DIVERGED")
-    print(f"batched: results {verdict}"
-          + (f", simulate speedup {speedup:.2f}x vs per-config oracle"
-             if speedup else ""))
 
 
 def cmd_report(args) -> int:
@@ -596,29 +544,20 @@ def cmd_bench(args) -> int:
     ok = True
     degraded = False
     for figure in figures:
-        try:
-            report = run_bench(
-                figure,
-                scale=args.scale,
-                jobs=jobs,
-                out_dir=args.out,
-                compare=not args.no_compare,
-                skip_naive=args.skip_naive,
-                batch=args.batch,
-                chaos=chaos,
-                task_timeout=getattr(args, "task_timeout", None),
-                resume=getattr(args, "resume", False),
-            )
-        except RuntimeError as exc:
-            # The batched lane diverged from the per-config oracle: the
-            # report was refused, nothing was written.
-            print(f"error: {exc}", file=sys.stderr)
-            ok = False
-            continue
+        report = run_bench(
+            figure,
+            scale=args.scale,
+            jobs=jobs,
+            out_dir=args.out,
+            compare=not args.no_compare,
+            skip_naive=args.skip_naive,
+            chaos=chaos,
+            task_timeout=getattr(args, "task_timeout", None),
+            resume=getattr(args, "resume", False),
+        )
         print(format_report(report))
         degraded = degraded or bool(report.get("degraded_points"))
         ok = ok and report.get("parallel_identical") is not False
-        ok = ok and report.get("batched_identical") is not False
         if not args.no_compare:
             ok = ok and report["functional_identical"] and report["speedup"] >= 1.0
     if getattr(args, "supervise", False):
@@ -948,12 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for BENCH_<figure>.json reports")
     bench_p.add_argument("--no-compare", action="store_true", dest="no_compare",
                          help="skip the serial naive reference run")
-    bench_p.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="replay each trace set against its whole "
-                              "config batch in one pass, verified against "
-                              "the per-config oracle (--no-batch restores "
-                              "one task per sweep point)")
     bench_p.add_argument("--skip-naive", action="store_true", dest="skip_naive",
                          help="verify only a deterministic sample of points "
                               "against the naive lane (scale-aware subset; "

@@ -9,15 +9,16 @@ them:
   *two* object-at-a-time reference-interpreter runs
   (:mod:`repro.interp.reference`, the preserved original interpreter),
   transforms, executes the thread pipeline and simulates, serially.
-* **optimized** -- every sweep point becomes one task on the parallel
-  execution fabric (:mod:`repro.parallel`): a warm worker pool whose
-  per-process arena keeps each workload's built case and open
-  :class:`~repro.harness.cache.ExperimentCache` handle alive across
-  points, a cost-aware work-stealing scheduler that places each
-  workload's points on the worker already warm for it (cost estimates
-  fitted from prior ``BENCH_*.json`` timings), and shared-memory result
-  transport.  The cache's disk layer (under ``--out``) shares
-  functional artefacts between workers and across sweep invocations.
+* **optimized** -- the points the artifact store cannot already serve
+  run on the parallel execution fabric (:mod:`repro.parallel`), one
+  task per trace set, each config simulated once: a warm worker pool
+  whose per-process arena keeps each workload's built case and open
+  :class:`~repro.incr.store.ArtifactStore` handle alive across tasks,
+  a cost-aware work-stealing scheduler that places each workload's
+  tasks on the worker already warm for it (cost estimates fitted from
+  prior ``BENCH_*.json`` timings), and shared-memory result transport.
+  The store's disk layer (under ``--out``) shares functional artefacts
+  between workers and across sweep invocations.
 
 Both modes must produce *identical* functional results (cycles, IPCs,
 instruction counts per point); because the naive mode interprets with
@@ -47,9 +48,7 @@ from repro.analysis.profiling import LoopProfile
 from repro.harness.journal import SweepJournal
 from repro.harness.runner import MAX_STEPS, BaselineRun, run_dswp
 from repro.interp.reference import run_function_reference
-from repro.machine.batch import BatchedSimulator
 from repro.machine.cmp import simulate
-from repro.machine.fingerprint import sim_fingerprint
 from repro.machine.reference import simulate_reference
 from repro.machine.config import (
     FULL_WIDTH_CORE,
@@ -70,10 +69,7 @@ FIGURES = ("fig9a", "fig9b", "qsweep")
 FIG9B_LATENCIES = (1, 5, 10)
 
 #: The queue-size sweep crosses Fig. 9(b)'s short/long-latency points
-#: with three inter-thread queue depths.  Queue size is part of the
-#: batch group key (it changes the count-based schedule), so each depth
-#: forms its own lane group -- two same-width configs wide, exactly the
-#: shape the vectorized replay engine batches.
+#: with three inter-thread queue depths.
 QSWEEP_QUEUE_SIZES = (4, 16, 64)
 QSWEEP_LATENCIES = (1, 5)
 
@@ -179,18 +175,6 @@ def batch_groups(points: list[dict]) -> list[list[dict]]:
         key = (spec["workload"], spec["scale"], spec["kind"])
         groups.setdefault(key, []).append(spec)
     return list(groups.values())
-
-
-def _batch_fingerprint(sim) -> str:
-    """Deep content digest of a :class:`~repro.machine.stats.SimResult`.
-
-    The shared implementation lives in
-    :func:`repro.machine.fingerprint.sim_fingerprint` (the compile
-    service stamps served results with the same digest); this
-    module-level name stays so tests can monkeypatch the bench lane's
-    comparator in isolation.
-    """
-    return sim_fingerprint(sim)
 
 
 # ----------------------------------------------------------------------
@@ -311,134 +295,49 @@ def _functional_traces(store, case, kind: str):
 
 
 def _point_task(payload: dict) -> dict:
-    """One sweep point on the fabric (runs inside a pool worker).
-
-    The functional prefix runs through the incremental stage wrappers
-    (:mod:`repro.incr.stages`): a prefix another worker -- or a prior
-    sweep -- already recorded is a store hit, decoded once per worker.
-    The simulate stage always runs here (the planner already served
-    every point whose summary was on record); its summary is recorded
-    under its stage key so the next sweep's planner can serve it.
-    Returns the point result plus per-stage seconds and the
-    store-counter delta this point caused (the driver aggregates
-    deltas across workers).
-    """
-    spec = payload["spec"]
-    _induced_crash(spec["workload"])
-    case, store = _bench_arena(spec, payload.get("cache_dir"))
-    before = store.stats()
-    traces, traces_key, stages = _functional_traces(
-        store, case, spec["kind"])
-    t0 = time.perf_counter()
-    sim = simulate(traces, _machine(spec["machine"]))
-    stages["simulate"] = time.perf_counter() - t0
-    summary = _sim_summary(sim)
-    store_point_summary(store, traces_key,
-                        canonical_machine(spec["machine"]), summary)
-    after = store.stats()
-    return {
-        "point": {"id": spec["id"], **summary},
-        "stages": stages,
-        "cache": {k: after[k] - before.get(k, 0) for k in after},
-    }
+    """One sweep point on the fabric: :func:`_batch_task` on a one-spec
+    group (the driver-side verification re-run's unit)."""
+    return _batch_task({"specs": [payload["spec"]],
+                        "cache_dir": payload.get("cache_dir")})
 
 
 def _batch_task(payload: dict) -> dict:
-    """One config-batch on the fabric (runs inside a pool worker).
+    """The pending points of one trace set on the fabric (runs inside a
+    pool worker).
 
     All specs share ``(workload, scale, kind)`` and hence one
-    functional trace set.  The batch runs through both timing paths:
-    once per config through the reference oracle (``cmp.simulate`` --
-    the timed *unbatched lane*, which doubles as the verification
-    baseline) and once through
-    :class:`~repro.machine.batch.BatchedSimulator` (annotation and
-    compiled replay code persisted in the worker's arena and the
-    cache's disk layer).  The two lanes are compared with the deep
-    fingerprint; the returned ``batch`` record carries both timings
-    and the verdict, and the point results come from the oracle lane,
-    so a batched divergence can never leak into the sweep numbers.
+    functional trace set.  The functional prefix runs through the
+    incremental stage wrappers (:mod:`repro.incr.stages`): a prefix
+    another worker -- or a prior sweep -- already recorded is a store
+    hit, decoded once per worker.  Each config is then simulated once
+    with ``cmp.simulate`` (the planner already served every point whose
+    summary was on record), and its summary is recorded under its
+    simulate stage key so the next sweep's planner can serve it.
+    Returns the point results plus per-stage seconds and the
+    store-counter delta this task caused (the driver aggregates deltas
+    across workers).
     """
     specs = payload["specs"]
     spec0 = specs[0]
     _induced_crash(spec0["workload"])
     case, store = _bench_arena(spec0, payload.get("cache_dir"))
-    arena = worker_arena()
-    bkey = ("bench-batched-simulator", payload.get("cache_dir"))
-    bsim = arena.get(bkey)
-    if bsim is None:
-        # The batched simulator's annotation/compiled-replay entries
-        # carry their own keying discipline (CODEGEN_VERSION); they
-        # share the store's sharded persistence directly.
-        bsim = arena[bkey] = BatchedSimulator(annotation_cache=store.objects)
     before = store.stats()
     traces, traces_key, stages = _functional_traces(
         store, case, spec0["kind"])
-
-    machines = [_machine(spec["machine"]) for spec in specs]
-    t0 = time.perf_counter()
-    sims = [simulate(traces, machine) for machine in machines]
-    unbatched_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    outcomes = bsim.simulate_batch(traces, machines)
-    cold_seconds = time.perf_counter() - t0
-    fingerprints = [_batch_fingerprint(sim) for sim in sims]
-    identical = all(
-        out.error is None and _batch_fingerprint(out.result) == fp
-        for fp, out in zip(fingerprints, outcomes)
-    )
-    # ``seconds`` is the steady-state replay cost: the regime the
-    # batched engine exists for (mass re-simulation over one trace set)
-    # and the fair counterpart to the oracle lane, which has no
-    # cold/warm distinction.  The warm pass re-verifies against the
-    # same oracle fingerprints, so the memoised chunk tables it
-    # exercises sit inside the bit-identity gate, not outside it.  The
-    # first call's cost is reported alongside as ``cold_seconds``.
-    # Groups the simulator bypassed wholesale (singletons) would just
-    # re-run the oracle, so their cold pass is the measurement.
-    campaign_seconds = cold_seconds
-    if identical and any(out.batched for out in outcomes):
+    points = []
+    for spec in specs:
         t0 = time.perf_counter()
-        warm_outcomes = bsim.simulate_batch(traces, machines)
-        batched_seconds = time.perf_counter() - t0
-        campaign_seconds += batched_seconds
-        identical = all(
-            out.error is None and _batch_fingerprint(out.result) == fp
-            for fp, out in zip(fingerprints, warm_outcomes)
-        )
-    else:
-        batched_seconds = cold_seconds
-    # The oracle lane produced the sweep results; the batched lane is
-    # the differential campaign riding along.  Stage accounting follows
-    # the results: the campaign's time is verification overhead, kept
-    # out of the production stages and reported per batch instead.
-    stages["simulate"] = unbatched_seconds
-
-    # Record each config's summary under its simulate stage key -- the
-    # results come from the oracle lane, so a cached summary is always
-    # oracle-grade regardless of the differential campaign's verdict.
-    summaries = [_sim_summary(sim) for sim in sims]
-    for spec, summary in zip(specs, summaries):
+        sim = simulate(traces, _machine(spec["machine"]))
+        stages["simulate"] += time.perf_counter() - t0
+        summary = _sim_summary(sim)
         store_point_summary(store, traces_key,
                             canonical_machine(spec["machine"]), summary)
-
+        points.append({"id": spec["id"], **summary})
     after = store.stats()
     return {
-        "points": [{"id": spec["id"], **summary}
-                   for spec, summary in zip(specs, summaries)],
+        "points": points,
         "stages": stages,
         "cache": {k: after[k] - before.get(k, 0) for k in after},
-        "batch": {
-            "size": len(specs),
-            "retired": sum(1 for out in outcomes if out.batched),
-            "seconds": batched_seconds,
-            "cold_seconds": cold_seconds,
-            "campaign_seconds": campaign_seconds,
-            "unbatched_seconds": unbatched_seconds,
-            "identical": identical,
-            "points": [spec["id"] for spec in specs],
-            "phase_seconds": dict(bsim.last_phase_seconds),
-            "lanes": [dict(lane) for lane in bsim.last_lanes],
-        },
     }
 
 
@@ -448,34 +347,26 @@ def run_optimized(
     cache_dir: Optional[str] = None,
     cost_dir: str = ".",
     registry=None,
-    batch: bool = True,
     chaos=None,
     task_timeout: Optional[float] = None,
     journal: Optional[SweepJournal] = None,
 ) -> dict:
     """Run all points as tasks on the execution fabric.
 
-    Each point is one :class:`~repro.parallel.PoolTask`; affinity
-    groups a workload's points onto the worker whose arena is already
-    warm for it, and task costs come from a
-    :class:`~repro.parallel.CostModel` fitted from prior
-    ``BENCH_*.json`` reports in ``cost_dir`` (cold heuristic
-    otherwise).  ``jobs <= 1`` -- or a platform that cannot fork --
-    runs the same tasks serially in-process.
+    Points sharing a trace set become one task each
+    (:func:`batch_groups` / :func:`_batch_task`); affinity groups a
+    workload's tasks onto the worker whose arena is already warm for
+    it, and task costs come from a :class:`~repro.parallel.CostModel`
+    fitted from prior ``BENCH_*.json`` reports in ``cost_dir`` (cold
+    heuristic otherwise).  ``jobs <= 1`` -- or a platform that cannot
+    fork -- runs the same tasks serially in-process.
 
-    A point whose worker crashes is retried on a fresh worker; a point
+    A task whose worker crashes is retried on a fresh worker; a task
     that crashes its worker twice is re-run in the driver process (the
-    sweep always completes) and is *degraded*: marked in its result
-    dict, listed in ``degraded_points``, and counted in the summary
-    line -- including when the degradation came from a pool-level
-    fallback rather than a per-point failure.
-
-    With ``batch`` (the default), points sharing a trace set become one
-    config-batch task each (:func:`batch_groups` / :func:`_batch_task`):
-    the whole batch retries or degrades together, and the returned dict
-    additionally carries per-batch records (``batches``) and the
-    combined ``batched_identical`` verdict.  ``batch=False`` keeps the
-    one-task-per-point shape.
+    sweep always completes) and its points are *degraded*: marked in
+    their result dicts, listed in ``degraded_points``, and counted in
+    the summary line -- including when the degradation came from a
+    pool-level fallback rather than a per-task failure.
 
     ``chaos`` arms a :class:`~repro.chaos.ChaosPlan` on the pool;
     ``task_timeout`` overrides the cost-model-derived per-task deadline
@@ -487,8 +378,9 @@ def run_optimized(
     (worker count actually used), ``num_tasks``, ``degraded_points``,
     ``retried_points``, ``timed_out_tasks``, ``fabric`` (pool recovery
     counters), ``incidents`` (pool forensics), ``cache_stats``
-    (aggregated across workers), per-point ``point_seconds`` and the
-    cost-model description.
+    (aggregated across workers), per-point ``point_seconds`` (each
+    task's duration split evenly over its points) and the cost-model
+    description.
     """
     model = CostModel.load(cost_dir)
     chaos_enabled = chaos is not None
@@ -512,63 +404,35 @@ def run_optimized(
             "cache_stats": {},
             "point_seconds": {},
             "cost_model": model.describe(),
-            "batches": [] if batch else None,
-            "batched_identical": True if batch else None,
         }
 
-    def _timeout(estimate: float) -> Optional[float]:
-        return derive_timeout(estimate, model.fitted, task_timeout,
-                              chaos_enabled)
-
-    if batch:
-        tasks = []
-        for group in batch_groups(points):
-            cost = sum(model.estimate_point(spec) for spec in group)
-            tasks.append(PoolTask(
-                id=f"batch:{group[0]['workload']}:{group[0]['kind']}",
-                fn=_batch_task,
-                payload={"specs": group, "cache_dir": cache_dir},
-                cost=cost,
-                affinity=f"{group[0]['workload']}:{group[0]['scale']}",
-                timeout=_timeout(cost),
-            ))
-    else:
-        tasks = [
-            PoolTask(
-                id=spec["id"],
-                fn=_point_task,
-                payload={"spec": spec, "cache_dir": cache_dir},
-                cost=model.estimate_point(spec),
-                affinity=f"{spec['workload']}:{spec['scale']}",
-                timeout=_timeout(model.estimate_point(spec)),
-            )
-            for spec in points
-        ]
+    tasks = []
+    for group in batch_groups(points):
+        cost = sum(model.estimate_point(spec) for spec in group)
+        tasks.append(PoolTask(
+            id=f"batch:{group[0]['workload']}:{group[0]['kind']}",
+            fn=_batch_task,
+            payload={"specs": group, "cache_dir": cache_dir},
+            cost=cost,
+            affinity=f"{group[0]['workload']}:{group[0]['scale']}",
+            timeout=derive_timeout(cost, model.fitted, task_timeout,
+                                   chaos_enabled),
+        ))
 
     spec_by_id = {spec["id"]: spec for spec in points}
 
     def _journal_result(result) -> None:
-        """Persist each point the moment its result lands (crash-safe
-        resume granularity is per *point* even when tasks are batches)."""
-        value = result.value
-        if batch:
-            info = value["batch"]
-            campaign = info.get("campaign_seconds", info["seconds"])
-            production = max(0.0, result.duration - campaign)
-            share = production / max(len(value["points"]), 1)
-            for point in value["points"]:
-                journal.record_point(spec_by_id[point["id"]], point, share,
-                                     degraded=result.degraded,
-                                     retries=result.retries,
-                                     timed_out=result.timed_out)
-        else:
-            point = value["point"]
+        """Persist each point the moment its task's result lands
+        (crash-safe resume granularity is per *point*)."""
+        covered = result.value["points"]
+        for point in covered:
             journal.record_point(spec_by_id[point["id"]], point,
-                                 result.duration, degraded=result.degraded,
+                                 result.duration / len(covered),
+                                 degraded=result.degraded,
                                  retries=result.retries,
                                  timed_out=result.timed_out)
 
-    jobs = max(1, min(jobs, len(tasks))) if tasks else 1
+    jobs = max(1, min(jobs, len(tasks)))
     with WorkerPool(jobs, metrics=registry, chaos=chaos) as pool:
         results = pool.run(
             tasks, on_result=_journal_result if journal is not None else None)
@@ -585,13 +449,12 @@ def run_optimized(
 
     stages = {"interpret": 0.0, "transform": 0.0, "simulate": 0.0}
     cache_stats: dict[str, int] = {}
-    batches: list[dict] = []
     by_point: dict[str, tuple[dict, bool, float]] = {}
     retried_ids: list[str] = []
     timed_out_tasks: list[str] = []
     for result in results:
         value = result.value
-        covered = value["points"] if batch else [value["point"]]
+        covered = value["points"]
         if result.retries:
             retried_ids.extend(point["id"] for point in covered)
         if result.timed_out:
@@ -600,24 +463,10 @@ def run_optimized(
             stages[key] += stage_seconds
         for key, delta in value["cache"].items():
             cache_stats[key] = cache_stats.get(key, 0) + delta
-        if batch:
-            info = dict(value["batch"])
-            info["id"] = result.task.id
-            batches.append(info)
-            # Per-point seconds: the group's duration minus the
-            # differential lane (verification, not production --
-            # ``campaign_seconds`` covers both its cold and its timed
-            # steady-state pass), split evenly.  Only telemetry and
-            # cost-model fitting consume these.
-            campaign = value["batch"].get("campaign_seconds",
-                                          value["batch"]["seconds"])
-            production = max(0.0, result.duration - campaign)
-            share = production / max(len(value["points"]), 1)
-            for point in value["points"]:
-                by_point[point["id"]] = (point, result.degraded, share)
-        else:
-            point = value["point"]
-            by_point[point["id"]] = (point, result.degraded, result.duration)
+        # Only telemetry and cost-model fitting read per-point seconds.
+        share = result.duration / len(covered)
+        for point in covered:
+            by_point[point["id"]] = (point, result.degraded, share)
 
     out_points: list[dict] = []
     degraded_ids: list[str] = []
@@ -643,9 +492,6 @@ def run_optimized(
         "cache_stats": cache_stats,
         "point_seconds": point_seconds,
         "cost_model": model.describe(),
-        "batches": batches if batch else None,
-        "batched_identical": (all(info["identical"] for info in batches)
-                              if batch else None),
     }
 
 
@@ -697,7 +543,7 @@ def _check_parallel_identical(specs: list[dict], optimized: list[dict],
                      payload={"spec": spec, "cache_dir": None})
             for spec in specs
         ])
-    return all(r.value["point"] == by_id[r.task.id] for r in rerun)
+    return all(r.value["points"][0] == by_id[r.task.id] for r in rerun)
 
 
 # ----------------------------------------------------------------------
@@ -712,7 +558,6 @@ def run_bench(
     compare: bool = True,
     skip_naive: bool = False,
     cache_dir: Optional[str] = None,
-    batch: bool = True,
     chaos=None,
     task_timeout: Optional[float] = None,
     resume: bool = False,
@@ -732,16 +577,6 @@ def run_bench(
     the deterministic sample (see :func:`verification_sample`).  The
     report's ``verification`` block records the mode and the covered
     point ids.
-
-    ``batch`` (the default) dispatches config-batches instead of
-    single points (see :func:`_batch_task`): the report then carries
-    per-batch records, ``batched_identical`` and ``batch_speedup``
-    (steady-state batched replay vs per-config-oracle simulate seconds
-    over the groups that actually batched; each record also carries the
-    cold first-call ``cold_seconds``, the per-phase split and the lane
-    engine breakdown).  A report whose batched lane diverged from
-    the oracle is **never written**: ``run_bench`` raises instead of
-    recording a ``BENCH_*.json`` with ``batched_identical: false``.
 
     ``chaos`` arms fault injection on the pool (the report gains a
     ``chaos`` provenance block); ``task_timeout`` overrides the derived
@@ -777,7 +612,7 @@ def run_bench(
     # journal reuse then takes precedence over store serving for the
     # resumed subset, so --resume semantics are unchanged.
     store = ArtifactStore(persist_dir=cache_dir)
-    plan = build_figure_plan(store, figure, scale, points, batch=batch)
+    plan = build_figure_plan(store, figure, scale, points)
     served = {pid: point for pid, point in plan.served.items()
               if pid not in reused}
     pending = [spec for spec in plan.pending if spec["id"] not in reused]
@@ -785,8 +620,8 @@ def run_bench(
     t0 = time.perf_counter()
     optimized = run_optimized(pending, jobs, cache_dir=cache_dir,
                               cost_dir=out_dir, registry=registry,
-                              batch=batch, chaos=chaos,
-                              task_timeout=task_timeout, journal=journal)
+                              chaos=chaos, task_timeout=task_timeout,
+                              journal=journal)
     optimized_seconds = time.perf_counter() - t0
 
     # Served points are journalled too (at zero seconds): a fresh run's
@@ -838,24 +673,6 @@ def run_bench(
     jobs_used = optimized["jobs"]
     degraded_ids = optimized["degraded_points"]
     cache_stats = optimized["cache_stats"]
-    batches = optimized["batches"] or []
-    for info in batches:
-        registry.histogram("batch.size").observe(info["size"])
-        registry.counter("batch.retired").inc(info["retired"])
-        registry.histogram("batch.seconds").observe(info["seconds"])
-        for phase, seconds in info.get("phase_seconds", {}).items():
-            if seconds:
-                registry.histogram(
-                    f"batch.phase.{phase}.seconds").observe(seconds)
-        for lane in info.get("lanes", ()):
-            registry.histogram("batch.lane.width").observe(lane["width"])
-            registry.counter("batch.members.vector").inc(lane["vector"])
-            registry.counter("batch.members.scalar").inc(lane["scalar"])
-            registry.counter("batch.members.oracle").inc(lane["oracle"])
-            if "chunk_hits" in lane:
-                registry.counter("batch.chunk.hits").inc(lane["chunk_hits"])
-                registry.counter("batch.chunk.misses").inc(
-                    lane["chunk_misses"])
 
     provenance = record_provenance(
         registry,
@@ -886,15 +703,6 @@ def run_bench(
         mode = "full"
     registry.gauge("bench.verified_points").set(len(verified))
 
-    # batch_speedup compares the two simulate lanes over the groups
-    # that took the batched path (bypassed singletons ran the oracle
-    # in both lanes and would only dilute the ratio).
-    batched_groups = [info for info in batches if info["retired"]]
-    batched_seconds = sum(info["seconds"] for info in batched_groups)
-    batch_speedup = (
-        sum(info["unbatched_seconds"] for info in batched_groups)
-        / batched_seconds if batched_seconds > 0 else None)
-
     report = {
         "figure": figure,
         "scale": scale,
@@ -920,9 +728,6 @@ def run_bench(
         "optimized_stage_seconds": optimized["stages"],
         "point_seconds": optimized["point_seconds"],
         "cost_model": optimized["cost_model"],
-        "batches": optimized["batches"],
-        "batched_identical": optimized["batched_identical"],
-        "batch_speedup": batch_speedup,
         "verification": {"mode": mode,
                          "points": [spec["id"] for spec in verified]},
         "provenance": provenance,
@@ -941,16 +746,7 @@ def run_bench(
         report["naive_seconds"] = naive_seconds
         report["naive_stage_seconds"] = naive_stages
         if mode == "full":
-            # The differential lane (batched-vs-oracle) is verification
-            # work, excluded from the production comparison exactly
-            # like the naive lane itself.  Workers run their lanes
-            # serially, so the campaign's full cost lands on the wall
-            # clock whenever workers outnumber cores; subtract all of
-            # it, floored by the serialized production cost.
-            overhead = sum(info.get("campaign_seconds", info["seconds"])
-                           for info in batches)
-            denominator = max(optimized_seconds - overhead,
-                              sum(optimized["point_seconds"].values()))
+            denominator = optimized_seconds
         else:
             # Like-for-like: the naive lane only ran the sample, so
             # compare it against the optimized time of the same points.
@@ -981,13 +777,6 @@ def run_bench(
     # recorded, including pool telemetry and the verification gauge.
     report["metrics"] = registry.snapshot()
 
-    if report["batched_identical"] is False:
-        diverged = [info["id"] for info in batches if not info["identical"]]
-        raise RuntimeError(
-            f"refusing to record BENCH_{figure}.json: batched simulation "
-            f"diverged from the per-config oracle on "
-            + ", ".join(diverged))
-
     path = os.path.join(out_dir, f"BENCH_{figure}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -1006,23 +795,6 @@ def format_report(report: dict) -> str:
         f"transform {report['optimized_stage_seconds']['transform']:.2f}s, "
         f"simulate {report['optimized_stage_seconds']['simulate']:.2f}s)",
     ]
-    if report.get("batches"):
-        batches = report["batches"]
-        retired = sum(info["retired"] for info in batches)
-        vector = sum(lane["vector"] for info in batches
-                     for lane in info.get("lanes", ()))
-        scalar = sum(lane["scalar"] for info in batches
-                     for lane in info.get("lanes", ()))
-        speedup = report.get("batch_speedup")
-        verdict = ("identical" if report.get("batched_identical")
-                   else "DIVERGED")
-        lines.append(
-            f"  batched:   {len(batches)} group(s), {retired} config(s) "
-            f"retired batched ({vector} vector / {scalar} scalar)"
-            + (f", simulate speedup {speedup:.2f}x vs per-config oracle"
-               if speedup else "")
-            + f", results {verdict}"
-        )
     if "naive_seconds" in report:
         verification = report.get("verification", {})
         mode = verification.get("mode", "full")

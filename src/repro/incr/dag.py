@@ -9,10 +9,9 @@ Each stage's *key* is a content hash of everything that can change its
 output, and nothing else:
 
 * a **code-version fingerprint** -- sha256 over the source text of the
-  packages the stage executes (plus explicit version constants such as
-  :data:`repro.machine.batch.CODEGEN_VERSION` for ``simulate``), so
-  editing ``machine/`` rolls only the simulate keys and editing the
-  analyses rolls transform but not interpret;
+  packages the stage executes, so editing ``machine/`` rolls only the
+  simulate keys and editing the analyses rolls transform but not
+  interpret;
 * the **upstream output digests** -- *semantic* content digests of the
   artefacts the stage consumes (trace content, profile counts), not
   serialisation bytes, so a re-run upstream stage that reproduces
@@ -23,7 +22,9 @@ output, and nothing else:
 Workload *content* enters only through the case fingerprint: editing
 one workload's body invalidates exactly that workload's subtree, and
 editing the workload *package* invalidates nothing (the registry is
-deliberately outside every stage's code fingerprint).
+deliberately outside every stage's code fingerprint).  The planner
+reads each case fingerprint from a receipt under :func:`case_key`, so
+proving a warm chain never rebuilds a workload.
 
 All hashing goes through :mod:`repro.machine.fingerprint` -- the same
 canonical hasher the experiment cache, the batched simulator and the
@@ -36,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
+import sys
 from typing import Optional
 
 from repro.machine.fingerprint import content_digest
@@ -109,19 +111,12 @@ def code_fingerprint(package: str) -> str:
 
 
 def stage_version(kind: str) -> str:
-    """The code-version component of one stage kind's keys.
-
-    Combines the package source fingerprints with any explicit version
-    constants the stage's artefact formats carry (read at call time so
-    a monkeypatched :data:`~repro.machine.batch.CODEGEN_VERSION` bump
-    behaves exactly like an edit to ``machine/``).
-    """
+    """The code-version component of one stage kind's keys: the
+    package source fingerprints plus the stage's test salt (read at
+    call time, so a salted stage behaves exactly like an edit to its
+    packages)."""
     parts: list = [kind, [code_fingerprint(p) for p in STAGE_PACKAGES[kind]],
                    _VERSION_SALTS.get(kind, "")]
-    if kind == STAGE_SIMULATE:
-        from repro.machine import batch
-
-        parts.append(batch.CODEGEN_VERSION)
     if kind == STAGE_FIGURE:
         parts.append(FIGURE_VERSION)
         # A figure aggregates simulate output, so a simulate-layer
@@ -139,6 +134,21 @@ def pipeline_version() -> str:
 # ----------------------------------------------------------------------
 # Stage keys
 # ----------------------------------------------------------------------
+
+def case_key(workload: str, scale: int, seed: int) -> str:
+    """The receipt key recording the case fingerprint of
+    ``get_workload(workload).build(scale, seed)``.
+
+    A build is a deterministic function of the workload's source, its
+    scale and seed, and the interpreter's :mod:`random` (hence the
+    Python major.minor version), so a receipt under this key proves the
+    fingerprint without rebuilding.  The whole ``repro`` package's
+    source stands in for the workload's: any edit re-derives it."""
+    return content_digest({"kind": "case", "workload": workload,
+                           "scale": scale, "seed": seed,
+                           "code": code_fingerprint("repro"),
+                           "python": list(sys.version_info[:2])})
+
 
 def _stage_key(kind: str, payload: dict) -> str:
     return content_digest({"stage": kind, "version": stage_version(kind),

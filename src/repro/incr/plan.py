@@ -3,16 +3,17 @@
 :func:`build_figure_plan` walks one figure sweep's requested points
 against the artifact store *before* any worker is spawned:
 
-* per functional group (workload x scale x kind) it derives the
-  interpret / transform stage keys and checks their receipts and
+* per functional group (workload x scale x kind) it reads the case
+  fingerprint from its receipt (:func:`repro.incr.stages.planned_case_fp`
+  -- a workload is built only when no receipt records it), derives
+  the interpret / transform stage keys and checks their receipts and
   artifacts exist (existence probes -- large trace artifacts are never
   decoded on the planning path);
 * per point it derives the simulate key from the recorded trace
   content digest and loads the (tiny) point summary when valid;
 * points whose whole chain is proven valid are **served** from the
-  store; everything else stays **pending** and becomes pool tasks --
-  whole groups in batched mode (a batch re-simulates together), single
-  points otherwise.
+  store; everything else stays **pending** and becomes pool tasks (one
+  per trace set).
 
 Stage accounting (``incr.stage.{hit,miss,scheduled}``):
 
@@ -21,10 +22,9 @@ Stage accounting (``incr.stage.{hit,miss,scheduled}``):
   interpret under an invalid simulate still counts as the hit it is);
 * **miss** -- receipt absent/invalid at plan time, including stages
   whose key is unknowable because an upstream stage is invalid;
-* **scheduled** -- the stage will execute compute.  Every miss is
-  scheduled; additionally, a valid simulate inside a scheduled batch
-  group re-runs with its group (the differential campaign needs every
-  config), so it counts as scheduled without being a miss.
+* **scheduled** -- the stage will execute compute.  Exactly the
+  misses are scheduled: a valid simulate is served even when its
+  siblings in the same trace set re-run.
 
 Stages are deduplicated by key across points and groups (the base and
 dswp flavours of one workload share one interpret stage; it is
@@ -60,13 +60,11 @@ def canonical_machine(spec: dict) -> dict:
 class FigurePlan:
     """One sweep's proven/pending partition; see module docstring."""
 
-    def __init__(self, figure: str, scale: int, batch: bool,
-                 check: bool) -> None:
+    def __init__(self, figure: str, scale: int, check: bool) -> None:
         global _plan_seq
         _plan_seq += 1
         self.figure = figure
         self.scale = scale
-        self.batch = batch
         self.check = check
         self.plan_id = f"plan-{os.getpid()}-{_plan_seq}"
         #: Point id -> summary dict (with ``id``) served from the store.
@@ -82,7 +80,6 @@ class FigurePlan:
         self.plan_seconds = 0.0
         self._store = None
         self._pinned = False
-        self._case_cache: dict = {}
 
     # ------------------------------------------------------------------
     def _mark(self, key, kind: str, hit: bool, miss: bool,
@@ -142,30 +139,24 @@ class FigurePlan:
 
 
 def build_figure_plan(store, figure: str, scale: int, points: list[dict],
-                      batch: bool = True, check: bool = True) -> FigurePlan:
+                      check: bool = True) -> FigurePlan:
     """Prove which of ``points`` the store can serve; see module doc."""
-    from repro.workloads import get_workload
-
     t0 = time.perf_counter()
-    plan = FigurePlan(figure, scale, batch, check)
+    plan = FigurePlan(figure, scale, check)
     plan._store = store
 
     pin_receipts: list[str] = []
     pin_artifacts: list[str] = []
 
     # Group in sweep order by (workload, scale, kind) -- the same
-    # grouping the batched dispatch uses.
+    # grouping the fabric dispatches.
     groups: dict[tuple, list[dict]] = {}
     for spec in points:
         groups.setdefault(
             (spec["workload"], spec["scale"], spec["kind"]), []).append(spec)
 
     for (workload, wscale, kind), group in groups.items():
-        case = plan._case_cache.get((workload, wscale))
-        if case is None:
-            case = get_workload(workload).build(scale=wscale)
-            plan._case_cache[(workload, wscale)] = case
-        cfp = stages.case_fp(case)
+        cfp = stages.planned_case_fp(store, workload, wscale)
 
         ikey = dag.interpret_key(cfp, check)
         irec = store.get_receipt(ikey)
@@ -178,12 +169,9 @@ def build_figure_plan(store, figure: str, scale: int, points: list[dict],
         tkey: Optional[str] = None
         tart: Optional[str] = None
         if kind == "base":
-            tvalid = True
             if ivalid:
                 traces_key = irec["outputs"].get("traces")
-                tvalid = traces_key is not None
         else:
-            tvalid = False
             content = (irec["outputs"].get("content")
                        if ivalid else None)
             if content is not None:
@@ -196,7 +184,6 @@ def build_figure_plan(store, figure: str, scale: int, points: list[dict],
                            not tvalid)
                 if tvalid:
                     traces_key = trec["outputs"].get("traces")
-                    tvalid = traces_key is not None
             else:
                 # Key unknowable below an invalid interpret: one
                 # synthetic pending node per group.
@@ -204,41 +191,26 @@ def build_figure_plan(store, figure: str, scale: int, points: list[dict],
                             wscale, kind),
                            dag.STAGE_TRANSFORM, False, True, True)
 
-        group_summaries: dict[str, Optional[dict]] = {}
+        # traces_key is known only below a valid interpret (and, for
+        # dswp, transform), so a loaded summary proves the whole chain.
         for spec in group:
-            machine = canonical_machine(spec["machine"])
+            summary = None
             if traces_key is not None:
                 skey, summary = stages.load_point_summary(
-                    store, traces_key, machine)
+                    store, traces_key, canonical_machine(spec["machine"]))
                 plan.simulate_keys[spec["id"]] = skey
                 valid = summary is not None
                 plan._mark(skey, dag.STAGE_SIMULATE, valid, not valid,
                            not valid)
             else:
-                skey, summary, valid = None, None, False
                 plan.simulate_keys[spec["id"]] = None
                 plan._mark(("pending", dag.STAGE_SIMULATE, spec["id"]),
                            dag.STAGE_SIMULATE, False, True, True)
-            group_summaries[spec["id"]] = summary
-
-        chain_ok = ivalid and tvalid
-        group_ok = chain_ok and all(
-            s is not None for s in group_summaries.values())
-        for spec in group:
-            summary = group_summaries[spec["id"]]
-            point_ok = chain_ok and summary is not None
-            serve = group_ok if batch else point_ok
-            if serve:
+            if summary is not None:
                 plan.served[spec["id"]] = {"id": spec["id"], **summary}
-                if plan.simulate_keys[spec["id"]] is not None:
-                    pin_receipts.append(plan.simulate_keys[spec["id"]])
+                pin_receipts.append(plan.simulate_keys[spec["id"]])
             else:
                 plan.pending.append(spec)
-                # A valid simulate dragged along by its batch group
-                # re-runs with it.
-                if batch and point_ok:
-                    skey = plan.simulate_keys[spec["id"]]
-                    plan._mark(skey, dag.STAGE_SIMULATE, True, False, True)
         if ivalid:
             pin_receipts.append(ikey)
             pin_artifacts.append(iart)
@@ -312,13 +284,7 @@ def _rederive_simulate_key(plan: FigurePlan, store,
                            spec: dict) -> Optional[str]:
     """Walk the now-written receipts to recover one point's simulate
     key; ``None`` when the chain is still incomplete."""
-    case = plan._case_cache.get((spec["workload"], spec["scale"]))
-    if case is None:
-        from repro.workloads import get_workload
-
-        case = get_workload(spec["workload"]).build(scale=spec["scale"])
-        plan._case_cache[(spec["workload"], spec["scale"])] = case
-    cfp = stages.case_fp(case)
+    cfp = stages.planned_case_fp(store, spec["workload"], spec["scale"])
     irec = store.get_receipt(dag.interpret_key(cfp, plan.check))
     if irec is None:
         return None

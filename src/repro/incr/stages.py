@@ -30,7 +30,8 @@ time, never correctness.
 from __future__ import annotations
 
 import time
-from typing import Optional
+import weakref
+from typing import Callable, Optional
 
 from repro.analysis.profiling import LoopProfile
 from repro.harness.cache import _alias_key, _partition_key
@@ -38,6 +39,8 @@ from repro.harness.runner import BaselineRun, DSWPRun, run_baseline, run_dswp
 from repro.incr import dag
 from repro.machine.fingerprint import case_fingerprint, content_digest, \
     memory_digest, trace_digest
+from repro.workloads import get_workload
+from repro.workloads.base import BUILD_SEED
 
 
 class StageOutcome:
@@ -58,32 +61,55 @@ class StageOutcome:
         self.seconds = seconds
 
 
+#: ``id(obj) -> (weakref to obj, digest)``.  The weak reference both
+#: proves the entry belongs to the live object (an ``id()`` alone is
+#: reused once its object dies) and drops the entry when the object
+#: is collected, so the memos never keep a dead case or trace alive.
 _case_fp_memo: dict[int, tuple] = {}
 _trace_digest_memo: dict[int, tuple] = {}
 
 
-def case_fp(case) -> str:
-    """Case fingerprint, memoised per case object (pinned: an ``id()``
-    key alone is a use-after-free -- see
-    :meth:`repro.harness.cache.ExperimentCache.digest`)."""
-    key = id(case)
-    entry = _case_fp_memo.get(key)
-    if entry is not None and entry[0] is case:
+def _memoised(memo: dict, obj, compute: Callable[[object], str]) -> str:
+    key = id(obj)
+    entry = memo.get(key)
+    if entry is not None and entry[0]() is obj:
         return entry[1]
-    digest = case_fingerprint(case)
-    _case_fp_memo[key] = (case, digest)
+    digest = compute(obj)
+
+    def _forget(ref, key=key):
+        if memo.get(key, (None,))[0] is ref:
+            del memo[key]
+
+    try:
+        memo[key] = (weakref.ref(obj, _forget), digest)
+    except TypeError:  # not weak-referenceable (a plain entry list)
+        pass
     return digest
+
+
+def case_fp(case) -> str:
+    """Case fingerprint, memoised per live case object."""
+    return _memoised(_case_fp_memo, case, case_fingerprint)
+
+
+def planned_case_fp(store, workload: str, scale: int) -> str:
+    """The fingerprint of ``workload`` built at ``scale``, read from its
+    receipt (:func:`repro.incr.dag.case_key`); the workload is built --
+    and the receipt written -- only when none is on record."""
+    key = dag.case_key(workload, scale, BUILD_SEED)
+    receipt = store.get_receipt(key)
+    cfp = receipt["outputs"].get("case") if receipt is not None else None
+    if isinstance(cfp, str):
+        return cfp
+    cfp = case_fp(get_workload(workload).build(scale=scale, seed=BUILD_SEED))
+    store.put_receipt(key, {"case": cfp},
+                      meta={"workload": workload, "scale": scale})
+    return cfp
 
 
 def _trace_content(trace) -> str:
-    """Salt-free trace content digest, memoised per trace object."""
-    key = id(trace)
-    entry = _trace_digest_memo.get(key)
-    if entry is not None and entry[0] is trace:
-        return entry[1]
-    digest = trace_digest(trace)
-    _trace_digest_memo[key] = (trace, digest)
-    return digest
+    """Salt-free trace content digest, memoised per live trace object."""
+    return _memoised(_trace_digest_memo, trace, trace_digest)
 
 
 def traces_content(traces) -> str:

@@ -107,7 +107,7 @@ class ColumnarTrace:
     """
 
     __slots__ = ("statics", "sids", "addrs", "takens", "_addr_overflow",
-                 "_sid_index")
+                 "_sid_index", "__weakref__")
 
     def __init__(self, statics: Optional[list[StaticOp]] = None) -> None:
         #: Static-op table; append-only, may be shared with a decoder.

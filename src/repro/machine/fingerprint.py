@@ -22,12 +22,12 @@ This module is the single hasher every layer keys on
   lists.  Two results with equal fingerprints are bit-identical for
   every table the CLI or the figures can print.
 
-The bench runner uses :func:`sim_fingerprint` to gate the batched
-simulation lane against the per-config oracle
-(``docs/PERFORMANCE.md``), and the compile service uses it to stamp
-every served result so clients -- and the ``serve_smoke`` tier -- can
-prove a served experiment bit-identical to an in-process
-:func:`~repro.harness.runner.run_experiment` (``docs/SERVICE.md``).
+The compile service uses :func:`sim_fingerprint` to stamp every
+served result so clients -- and the ``serve_smoke`` tier -- can prove a
+served experiment bit-identical to an in-process
+:func:`~repro.harness.runner.run_experiment` (``docs/SERVICE.md``);
+the batched simulator's differential campaigns compare results with
+it.
 
 Everything here must stay *cross-process stable*: two interpreters
 (different machines, different hash seeds) hashing the same logical
@@ -145,7 +145,15 @@ def trace_digest(trace, salt: str = "") -> str:
     instruction; two traces with equal digests replay identically on
     any machine configuration.  ``salt`` namespaces consumers whose
     derived artefacts change shape independently of the trace (the
-    batched simulator salts with its codegen version)."""
+    batched simulator salts with its codegen version).
+
+    A static's identity includes its root instruction (the branch
+    predictor's key), hashed as the rank of its uid among the trace's
+    root uids.  Uids come from a process-wide counter, so the same
+    trace built after another workload carries shifted uids; the rank
+    keeps what the timing model observes (which statics share a
+    predictor entry) and drops the offset.  ``sim_fingerprint`` hashes
+    predictor state in the same rank order."""
     from repro.interp.trace import as_columnar
 
     trace = as_columnar(trace)
@@ -154,10 +162,12 @@ def trace_digest(trace, salt: str = "") -> str:
         h.update(salt.encode())
     for part in trace.column_bytes():
         h.update(part if isinstance(part, (bytes, bytearray)) else bytes(part))
+    rank = {uid: index for index, uid in
+            enumerate(sorted({s.root_uid for s in trace.statics}))}
     for s in trace.statics:
         inst = s.inst
         h.update(repr((
-            inst.render(), s.block, s.root_uid,
+            inst.render(), s.block, rank[s.root_uid],
             inst.attrs.get("call_cycles", 0) if inst.attrs else 0,
         )).encode())
     return h.hexdigest()

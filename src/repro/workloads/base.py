@@ -26,6 +26,11 @@ from repro.ir.function import Function
 from repro.ir.loops import Loop, find_loop_by_header
 from repro.ir.types import Register
 
+#: The input-generator seed of a default build: every sweep and the
+#: planner's case-fingerprint receipts (:func:`repro.incr.dag.case_key`)
+#: build with it.
+BUILD_SEED = 7
+
 
 class WorkloadCase:
     """A concrete, runnable instance of a workload."""
@@ -74,7 +79,8 @@ class Workload:
     #: Default problem size (outer-loop trip count).
     default_scale: int = 1500
 
-    def build(self, scale: Optional[int] = None, seed: int = 7) -> WorkloadCase:
+    def build(self, scale: Optional[int] = None,
+              seed: int = BUILD_SEED) -> WorkloadCase:
         """Construct a runnable case.  Subclasses implement ``_build``."""
         return self._build(scale or self.default_scale, random.Random(seed))
 

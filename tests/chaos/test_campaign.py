@@ -60,7 +60,6 @@ class TestDifferentialCampaign:
             got = json.dumps(_functional(report), sort_keys=True)
             assert got == baseline, f"seed {seed} diverged"
             assert report["chaos"]["seed"] == seed
-            assert report["batched_identical"] is not False
             injected_total += sum(report["fabric"].values())
             # The report on disk agrees with the returned dict.
             with open(out / f"BENCH_{FIGURE}.json") as fh:
@@ -70,14 +69,6 @@ class TestDifferentialCampaign:
         # The campaign must actually have exercised the fabric --
         # all-quiet seeds would make this test vacuous.
         assert injected_total > 0
-
-    def test_chaos_against_point_granular_tasks(self, tmp_path):
-        # --no-batch: one task per sweep point, 40 chaos targets.
-        clean = _bench(tmp_path / "clean", batch=False)
-        out = tmp_path / "chaos"
-        plan = ChaosPlan.random(5, cache_dir=str(out / ".bench-cache"))
-        report = _bench(out, batch=False, chaos=plan, task_timeout=1.5)
-        assert _functional(report) == _functional(clean)
 
     def test_chaos_provenance_lands_in_the_report(self, tmp_path):
         out = tmp_path / "chaos"
@@ -102,7 +93,7 @@ class TestResume:
         records plus a torn half-line (exactly what a kill mid-append
         leaves) and resume."""
         out = tmp_path / "sweep"
-        clean = _bench(out, batch=False)
+        clean = _bench(out)
         baseline = _functional(clean)
         all_ids = {p["id"] for p in clean["points"]}
 
@@ -115,8 +106,7 @@ class TestResume:
                            encoding="utf-8")
 
         resumed = run_bench(FIGURE, scale=SCALE, jobs=2,
-                            out_dir=str(out), compare=False, batch=False,
-                            resume=True)
+                            out_dir=str(out), compare=False, resume=True)
         assert _functional(resumed) == baseline
         assert set(resumed["resume"]["reused_points"]) == kept_ids
         assert set(resumed["resume"]["recomputed_points"]) == \
@@ -124,12 +114,11 @@ class TestResume:
 
     def test_stale_fingerprint_is_invalidated_not_reused(self, tmp_path):
         out = tmp_path / "sweep"
-        _bench(out, batch=False)
+        _bench(out)
         # Same point ids, different scale: every journal entry's input
         # fingerprint is stale and must be recomputed.
         resumed = run_bench(FIGURE, scale=SCALE + 2, jobs=2,
-                            out_dir=str(out), compare=False, batch=False,
-                            resume=True)
+                            out_dir=str(out), compare=False, resume=True)
         assert resumed["resume"]["reused_points"] == []
         assert len(resumed["resume"]["recomputed_points"]) == \
             len(sweep_points(FIGURE, SCALE + 2))
@@ -138,7 +127,7 @@ class TestResume:
         """The real thing: a bench subprocess SIGKILLed mid-sweep, then
         resumed in-process.  Whatever subset the journal captured, the
         resumed report must equal the clean run's."""
-        clean = _bench(tmp_path / "clean", batch=False)
+        clean = _bench(tmp_path / "clean")
         baseline = _functional(clean)
         all_ids = {p["id"] for p in clean["points"]}
 
@@ -150,7 +139,7 @@ class TestResume:
             + [os.path.join(os.path.dirname(__file__), "..", "..", "src")])
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "bench", "--figure", FIGURE,
-             "--scale", str(SCALE), "--jobs", "1", "--no-batch",
+             "--scale", str(SCALE), "--jobs", "1",
              "--no-compare", "--out", str(out)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         journal = out / f"SWEEP_{FIGURE}.jsonl"
@@ -171,7 +160,7 @@ class TestResume:
             proc.wait(timeout=60)
 
         resumed = run_bench(FIGURE, scale=SCALE, jobs=1, out_dir=str(out),
-                            compare=False, batch=False, resume=True)
+                            compare=False, resume=True)
         assert _functional(resumed) == baseline
         reused = set(resumed["resume"]["reused_points"])
         recomputed = set(resumed["resume"]["recomputed_points"])
@@ -182,23 +171,23 @@ class TestResume:
         # Resume of a complete journal recomputes nothing and the
         # journal survives for the *next* resume (append, not truncate).
         out = tmp_path / "sweep"
-        clean = _bench(out, batch=False)
+        clean = _bench(out)
         first = run_bench(FIGURE, scale=SCALE, jobs=2, out_dir=str(out),
-                          compare=False, batch=False, resume=True)
+                          compare=False, resume=True)
         assert first["resume"]["recomputed_points"] == []
         second = run_bench(FIGURE, scale=SCALE, jobs=2, out_dir=str(out),
-                           compare=False, batch=False, resume=True)
+                           compare=False, resume=True)
         assert second["resume"]["recomputed_points"] == []
         assert _functional(second) == _functional(clean)
 
     def test_fresh_run_truncates_a_stale_journal(self, tmp_path):
         out = tmp_path / "sweep"
-        _bench(out, batch=False)
+        _bench(out)
         journal = out / f"SWEEP_{FIGURE}.jsonl"
         before = journal.read_text(encoding="utf-8")
         assert before.count('"kind":"point"') == 40
         # A non-resumed sweep starts a new journal: old entries gone.
-        _bench(out, batch=False)
+        _bench(out)
         after = journal.read_text(encoding="utf-8")
         assert after.count('"kind":"point"') == 40
         assert after.splitlines()[0] != "" and len(after) <= len(before) * 1.5

@@ -1,23 +1,20 @@
-"""Bench-level guarantees of the batched lane (``-m batch_smoke``).
+"""Sweep-level guarantees of the batched engine (``-m batch_smoke``).
 
-Three guardrails ride on top of the machine-level differential
-campaign (``tests/machine/test_batched_differential.py``):
+Two guardrails ride on top of the machine-level differential campaign
+(``tests/machine/test_batched_differential.py``):
 
 * a **golden regression**: a small frozen Fig. 9a sweep is checked in
-  (``data/golden_fig9a_scale60.json``) and the batched path must
-  reproduce it byte-identically -- any timing-model or batching change
-  that shifts a single cycle fails loudly here;
-* the **refusal rule**: ``run_bench`` must raise -- and record nothing
-  -- when the batched lane diverges from the per-config oracle;
-* the report's **batch records**: sizes, retirement counts and the
-  ``batch_speedup`` ratio land in ``BENCH_*.json`` and the metrics
-  snapshot, and ``--no-batch`` restores the one-task-per-point shape
-  with identical sweep numbers.
+  (``data/golden_fig9a_scale60.json``) and both the batched engine and
+  ``cmp.simulate`` (the bench sweep's engine) must reproduce it
+  byte-identically -- any timing-model or batching change that shifts
+  a single cycle fails loudly here;
+* **lane routing**: the sweeps' config groups
+  (``batch_groups(sweep_points(...))``) ride the vector engine where
+  they should, with every result still identical to ``cmp.simulate``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 
@@ -25,12 +22,12 @@ import pytest
 
 from repro.harness.bench import (
     batch_groups,
-    run_bench,
     sweep_points,
 )
 from repro.harness.cache import ExperimentCache
 from repro.machine.batch import BatchedSimulator
 from repro.machine.cmp import simulate
+from repro.machine.fingerprint import sim_fingerprint
 from repro.machine.config import (
     FULL_WIDTH_CORE,
     HALF_WIDTH_CORE,
@@ -48,7 +45,8 @@ GOLDEN_PATH = os.path.join(
 def _machine(spec: dict) -> MachineConfig:
     core = HALF_WIDTH_CORE if spec["core"] == "half" else FULL_WIDTH_CORE
     return MachineConfig(core=core,
-                         comm_latency=spec.get("comm_latency", 1))
+                         comm_latency=spec.get("comm_latency", 1),
+                         queue_size=spec.get("queue_size", 32))
 
 
 def _group_traces(group: list[dict], cache: ExperimentCache):
@@ -110,105 +108,47 @@ class TestGoldenSweep:
         assert render(sweep_document(GOLDEN_SCALE, batched=False)) == frozen
 
 
-class TestBenchRefusal:
-    def test_divergence_refuses_to_record_a_report(self, tmp_path,
-                                                   monkeypatch):
-        import repro.harness.bench as bench
-        counter = itertools.count()
-        # Every fingerprint unique -> every comparison "diverges".
-        monkeypatch.setattr(bench, "_batch_fingerprint",
-                            lambda sim: f"fp{next(counter)}")
-        with pytest.raises(RuntimeError, match="refusing to record"):
-            run_bench("fig9a", scale=30, jobs=1, out_dir=str(tmp_path),
-                      compare=False)
-        assert not (tmp_path / "BENCH_fig9a.json").exists()
-
-    def test_cli_surfaces_divergence_as_failure(self, tmp_path,
-                                                monkeypatch, capsys):
-        import repro.harness.bench as bench
-        from repro.cli import main
-        counter = itertools.count()
-        monkeypatch.setattr(bench, "_batch_fingerprint",
-                            lambda sim: f"fp{next(counter)}")
-        code = main(["bench", "--figure", "fig9a", "--scale", "30",
-                     "--jobs", "1", "--no-compare", "--out",
-                     str(tmp_path)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "refusing to record" in captured.err
-        assert not (tmp_path / "BENCH_fig9a.json").exists()
-
-
 class TestBatchReport:
-    def test_batch_records_and_metrics_land_in_the_report(self, tmp_path):
-        report = run_bench("fig9a", scale=30, jobs=1,
-                           out_dir=str(tmp_path), compare=False)
-        assert report["batched_identical"] is True
-        batches = report["batches"]
-        assert report["num_tasks"] == len(batches)
-        assert sum(info["size"] for info in batches) == report["num_points"]
-        covered = [pid for info in batches for pid in info["points"]]
-        assert sorted(covered) == sorted(p["id"] for p in report["points"])
-        for info in batches:
-            assert info["identical"] is True
-            assert info["seconds"] >= 0.0
-            assert info["unbatched_seconds"] >= 0.0
-            assert info["campaign_seconds"] >= info["cold_seconds"] >= 0.0
-            assert sum(lane["width"] for lane in info["lanes"]) \
-                == info["size"]
-            assert set(info["phase_seconds"]) == {
-                "annotate", "schedule", "compile",
-                "replay_vector", "replay_scalar"}
-        assert any(key.startswith("batch.size")
-                   for key in report["metrics"])
-        # Round-trips through the on-disk json.
-        with open(report["path"]) as fh:
-            on_disk = json.load(fh)
-        assert on_disk["batched_identical"] is True
-        assert on_disk["batch_speedup"] == report["batch_speedup"]
+    """The batched engine's per-lane record (``last_lanes``) over the
+    bench sweeps' config groups."""
 
-    def test_qsweep_runs_batched_on_the_vector_lane(self, tmp_path):
+    @staticmethod
+    def _lanes(figure: str) -> list[tuple[list[dict], list[dict]]]:
+        """``(group, lanes)`` per multi-config group of ``figure`` at
+        scale 30, each batched result deep-compared (``sim_fingerprint``)
+        against ``cmp.simulate``."""
+        cache = ExperimentCache()
+        bsim = BatchedSimulator()
+        out = []
+        for group in batch_groups(sweep_points(figure, 30)):
+            if len(group) < 2:
+                continue
+            traces = _group_traces(group, cache)
+            machines = [_machine(spec["machine"]) for spec in group]
+            outcomes = bsim.simulate_batch(traces, machines)
+            for outcome, machine in zip(outcomes, machines):
+                assert outcome.error is None
+                assert sim_fingerprint(outcome.result) == sim_fingerprint(
+                    simulate(traces, machine))
+            out.append((group, [dict(lane) for lane in bsim.last_lanes]))
+        return out
+
+    def test_qsweep_runs_batched_on_the_vector_lane(self):
         """The queue-size sweep's lane groups (two comm points per
         depth, same width class) must ride the vector engine with the
         bit-identity gate intact."""
-        report = run_bench("qsweep", scale=30, jobs=1,
-                           out_dir=str(tmp_path), compare=False)
-        assert report["batched_identical"] is True
-        assert report["batch_speedup"] is not None
-        dswp_batches = [info for info in report["batches"]
-                        if info["size"] > 1]
-        assert dswp_batches
-        for info in dswp_batches:
+        groups = self._lanes("qsweep")
+        assert groups
+        for _group, lanes in groups:
             # Three queue depths -> three geometry lane groups of two.
-            assert [lane["width"] for lane in info["lanes"]] == [2, 2, 2]
-            assert all(lane["vector"] == 2 for lane in info["lanes"])
-        ids = {p["id"] for p in report["points"]}
+            assert [lane["width"] for lane in lanes] == [2, 2, 2]
+            assert all(lane["vector"] == 2 for lane in lanes)
+        ids = {spec["id"] for group, _ in groups for spec in group}
         assert any(":dswp-full-q4-comm1" in pid for pid in ids)
         assert any(":dswp-full-q64-comm5" in pid for pid in ids)
 
-    def test_fig9b_rides_the_vector_lane(self, tmp_path):
-        report = run_bench("fig9b", scale=30, jobs=1,
-                           out_dir=str(tmp_path), compare=False)
-        assert report["batched_identical"] is True
-        for info in report["batches"]:
-            if info["size"] > 1:
-                assert sum(lane["vector"] for lane in info["lanes"]) \
-                    == info["size"]
-
-    def test_no_batch_restores_per_point_tasks_with_same_numbers(
-            self, tmp_path):
-        batched_dir = tmp_path / "batched"
-        plain_dir = tmp_path / "plain"
-        batched_dir.mkdir()
-        plain_dir.mkdir()
-        batched = run_bench("fig9a", scale=30, jobs=1,
-                            out_dir=str(batched_dir), compare=False)
-        plain = run_bench("fig9a", scale=30, jobs=1,
-                          out_dir=str(plain_dir), compare=False,
-                          batch=False)
-        assert plain["batches"] is None
-        assert plain["batched_identical"] is None
-        assert plain["num_tasks"] == plain["num_points"]
-        key = lambda report: {p["id"]: (p["cycles"], p["ipcs"])
-                              for p in report["points"]}
-        assert key(batched) == key(plain)
+    def test_fig9b_rides_the_vector_lane(self):
+        groups = self._lanes("fig9b")
+        assert groups
+        for group, lanes in groups:
+            assert sum(lane["vector"] for lane in lanes) == len(group)

@@ -10,6 +10,7 @@ import pytest
 from repro.harness.bench import (
     MIN_SAMPLE_FRACTION,
     SAMPLE_BUDGET,
+    batch_groups,
     run_bench,
     sweep_points,
     verification_sample,
@@ -106,10 +107,10 @@ class TestPoolTelemetryInReport:
         assert metrics["pool.workers"] == 2
         total_tasks = sum(v for k, v in metrics.items()
                           if k.startswith("pool.tasks{"))
-        # Batched dispatch groups points into config-batch tasks, so the
-        # pool sees one task per batch, not per point.
+        # One task per trace set -- (workload, kind) -- not per point.
         assert total_tasks == report["num_tasks"]
-        assert report["num_tasks"] == len(report["batches"])
+        assert report["num_tasks"] == len(
+            batch_groups(sweep_points("fig9a", SCALE)))
         assert "pool.utilization{worker=0}" in metrics
         assert "pool.utilization{worker=1}" in metrics
 

@@ -48,7 +48,7 @@ class TestReportBench:
         assert "steals" in out
         assert "2 worker(s)" in out
 
-    def test_batch_table_follows_the_pool_table(self, tmp_path, capsys):
+    def test_stage_table_follows_the_pool_table(self, tmp_path, capsys):
         code, _, _ = _run(capsys, [
             "bench", "--figure", "fig9b", "--scale", "30", "--jobs", "1",
             "--no-compare", "--out", str(tmp_path),
@@ -57,17 +57,15 @@ class TestReportBench:
         path = str(tmp_path / "BENCH_fig9b.json")
         code, out, _ = _run(capsys, ["report", "--bench", path])
         assert code == 0
-        assert "lane widths" in out
-        assert "vec/scal/oracle" in out
-        assert "steady (s)" in out
-        assert "simulate speedup" in out
-        assert "results identical" in out
+        assert out.index("utilization") < out.index("scheduled")
+        assert "incr:    plan" in out
+        assert "simulate speedup" not in out
 
     def test_pre_batch_reports_skip_the_batch_table(self, tmp_path,
                                                     capsys):
         code, _, _ = _run(capsys, [
             "bench", "--figure", "fig9a", "--scale", "30", "--jobs", "1",
-            "--no-compare", "--no-batch", "--out", str(tmp_path),
+            "--no-compare", "--out", str(tmp_path),
         ])
         assert code == 0
         path = str(tmp_path / "BENCH_fig9a.json")

@@ -7,7 +7,10 @@ through content-derived keys (:mod:`repro.machine.fingerprint`,
 digest (hash-seed-dependent iteration order, ``id()``-based repr,
 pickle bytes) silently turns every warm run cold.  The regression
 here recomputes the full key set in subprocesses under two different
-``PYTHONHASHSEED`` values and requires byte equality.
+``PYTHONHASHSEED`` values and requires byte equality.  The second
+subprocess builds another workload first, so the probed case's
+instruction uids (a process-wide counter) start at a different offset,
+as they do in a pool worker that has already served another workload.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from repro.machine.fingerprint import (
 from repro.harness.runner import run_baseline
 from repro.workloads import get_workload
 
+for name in sys.argv[1:]:
+    get_workload(name).build(scale=20)
 case = get_workload("wc").build(scale=20)
 run = run_baseline(case, check=False)
 cfp = case_fp(case)
@@ -50,20 +55,20 @@ print(json.dumps({
 """
 
 
-def _probe(hashseed: str) -> dict:
+def _probe(hashseed: str, *prebuilt: str) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [os.path.join(os.getcwd(), "src"),
                     env.get("PYTHONPATH")] if p)
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", _PROBE, *prebuilt], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
 def test_keys_stable_across_hash_seeds():
     first = _probe("0")
-    second = _probe("12345")
+    second = _probe("12345", "mcf")
     assert first == second
     # And every value really is a hex digest, not a repr fallback.
     for name, value in first.items():

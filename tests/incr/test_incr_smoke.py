@@ -7,10 +7,10 @@ Three real ``run_bench`` sweeps against one store
 2. **warm no-op** -- zero stages scheduled, zero pool tasks, at least
    10x faster than cold, and the report byte-identical to the cold
    one modulo timing/telemetry fields;
-3. **simulator edit** (codegen version bump, the machine-layer
-   invalidation) -- cached traces re-simulate without a single
-   interpret or transform re-running, and the points still match the
-   cold run bit for bit.
+3. **simulator edit** (a salted simulate-stage version, the
+   machine-layer invalidation) -- cached traces re-simulate without a
+   single interpret or transform re-running, and the points still
+   match the cold run bit for bit.
 
 ``make incr-smoke`` runs this file; it also rides in tier-1.
 """
@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.harness.bench import run_bench, sweep_points
+from repro.incr import dag
 
 FIGURE = "fig9b"
 SCALE = 200
@@ -32,9 +33,8 @@ SCALE = 200
 VOLATILE = frozenset({
     "optimized_seconds", "optimized_stage_seconds", "naive_seconds",
     "naive_stage_seconds", "point_seconds", "speedup", "stage_speedups",
-    "metrics", "provenance", "cost_model", "batches", "batch_speedup",
-    "batched_identical", "incr", "resume", "fabric", "fabric_incidents",
-    "num_tasks", "jobs", "cache_stats", "verification",
+    "metrics", "provenance", "cost_model", "incr", "resume", "fabric",
+    "fabric_incidents", "num_tasks", "jobs", "cache_stats", "verification",
 })
 
 
@@ -75,10 +75,7 @@ def test_cold_warm_and_machine_edit(tmp_path, monkeypatch):
         f"warm {warm_seconds:.2f}s vs cold {cold_seconds:.2f}s")
 
     # -- simulator edit: re-simulate cached traces ----------------------
-    from repro.machine import batch
-
-    monkeypatch.setattr(batch, "CODEGEN_VERSION",
-                        batch.CODEGEN_VERSION + 1)
+    monkeypatch.setitem(dag._VERSION_SALTS, dag.STAGE_SIMULATE, "edited")
     edited, _ = _run(tmp_path)
     stages = edited["incr"]["stages"]
     # The functional prefix served from the store: nothing re-ran.

@@ -67,9 +67,7 @@ def test_warm_plan_schedules_nothing(warm_store_dir):
 
 def test_simulator_version_bump_respins_simulate_and_figure_only(
         warm_store_dir, monkeypatch):
-    from repro.machine import batch
-
-    monkeypatch.setattr(batch, "CODEGEN_VERSION", batch.CODEGEN_VERSION + 1)
+    monkeypatch.setitem(dag._VERSION_SALTS, dag.STAGE_SIMULATE, "edited")
     plan = _plan(warm_store_dir)
     # The functional prefix is untouched: cached traces serve.
     for kind in (dag.STAGE_INTERPRET, dag.STAGE_TRANSFORM):
@@ -135,12 +133,11 @@ def test_torn_receipt_is_a_planner_miss_never_decoded(warm_store_dir,
     # The torn bytes were evicted and counted at decode, never
     # interpreted as a receipt...
     assert fresh.stats().get("corrupt_evictions", 0) == before + 1
-    # ...the victim's batch group replans (a batch re-simulates
-    # together), while every other workload still serves whole...
-    assert {spec["workload"] for spec in plan.pending} == {"compress"}
-    assert victim in {spec["id"] for spec in plan.pending}
+    # ...only the victim replans (its siblings' simulates still serve),
+    # while every other workload still serves whole...
+    assert [spec["id"] for spec in plan.pending] == [victim]
     hit, miss, scheduled = _stage_counts(plan, dag.STAGE_SIMULATE)
-    assert miss == 1
+    assert miss == scheduled == 1
     # ...and the functional prefix stays entirely warm.
     for kind in (dag.STAGE_INTERPRET, dag.STAGE_TRANSFORM):
         hit, miss, scheduled = _stage_counts(plan, kind)
