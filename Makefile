@@ -36,8 +36,8 @@ obs-smoke:
 	$(PYTHON) -m pytest -q -m obs_smoke
 
 # Execution-fabric guardrails: worker-pool parity and crash recovery,
-# shared-memory transport round-trip and leak checks, scheduler and
-# cost-model properties (docs/PERFORMANCE.md).
+# result transport, scheduler and cost-model properties
+# (docs/PERFORMANCE.md).
 parallel-smoke:
 	$(PYTHON) -m pytest -q -m parallel_smoke
 
@@ -50,8 +50,9 @@ batch-smoke:
 	$(PYTHON) -m pytest -q -m batch_smoke
 
 # Chaos-engineering guardrails: seeded fault injection into the worker
-# pool (kill/hang/flake/corrupt), the differential bit-identity
-# campaign, journal/resume integrity (docs/CHAOS.md).
+# pool (kill/hang/flake/store corruption), the differential
+# bit-identity campaign, killed-sweep re-runs, journal integrity
+# (docs/CHAOS.md).
 chaos-smoke:
 	$(PYTHON) -m pytest -q -m chaos_smoke
 

@@ -1,9 +1,9 @@
 """Chaos engineering for the execution fabric (see docs/CHAOS.md).
 
 Seeded, deterministic fault injection against the worker pool: kill or
-hang a worker mid-task, slow a task, fail it transiently, corrupt a
-shared-memory result segment or a disk-cache entry -- and prove the
-fabric's recovery paths keep results bit-identical.
+hang a worker mid-task, slow a task, fail it transiently or corrupt an
+artifact-store entry -- and prove the fabric's recovery paths keep
+results bit-identical.
 """
 
 from repro.chaos.plan import (

@@ -14,9 +14,8 @@ Fault matrix (``docs/CHAOS.md`` has the prose version):
 kind                worker behaviour                     recovery path
 =================== ==================================== =================
 ``kill``            ``os._exit`` before running the task crash retry
-``kill-after-encode`` ``os._exit`` after encoding the    crash retry +
-                    result (segments allocated, never    shutdown sweep
-                    reported)
+``kill-after-run``  ``os._exit`` after running the task  crash retry
+                    (result pickled, never sent)
 ``hang``            sleep ``hang_seconds`` before the    deadline reap
                     task
 ``slow``            sleep ``slow_seconds`` before the    none needed
@@ -24,10 +23,8 @@ kind                worker behaviour                     recovery path
 ``flaky``           raise :class:`TransientTaskError`    backoff retry
                     on the first ``flaky_failures``
                     dispatches
-``shm-corrupt``     scribble over the result's shared-   decode-failure
-                    memory segments after encoding       backoff retry
-``cache-corrupt``   scribble over one on-disk            corrupt-is-a-miss
-                    ``ExperimentCache`` entry            eviction
+``cache-corrupt``   scribble over one entry of the       corrupt-is-a-miss
+                    artifact store under ``cache_dir``   eviction
 =================== ==================================== =================
 
 Destructive kinds fire only on a task's *first* dispatch (``flaky`` on
@@ -42,15 +39,14 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.incr.gc import entry_files
 from repro.parallel.pool import TransientTaskError
-from repro.parallel.shm import corrupt_segment, wire_segment_names
 
 #: Band order for seeded plans: stable across runs by construction.
-RANDOM_KINDS = ("kill", "hang", "slow", "flaky", "shm-corrupt",
-                "cache-corrupt")
+RANDOM_KINDS = ("kill", "hang", "slow", "flaky", "cache-corrupt")
 
 #: Default per-kind probability bands for :meth:`ChaosPlan.random`.
 DEFAULT_RATES = {
@@ -58,7 +54,6 @@ DEFAULT_RATES = {
     "hang": 0.08,
     "slow": 0.10,
     "flaky": 0.10,
-    "shm-corrupt": 0.08,
     "cache-corrupt": 0.06,
 }
 
@@ -79,7 +74,7 @@ class ChaosAction:
     """One fault a worker applies to one task attempt.
 
     ``apply_before`` runs ahead of the task function, ``apply_after``
-    on the encoded wire value; both execute *inside the worker
+    once its result is pickled; both execute *inside the worker
     process*, so the driver only ever observes the fault's symptoms.
     """
 
@@ -88,7 +83,7 @@ class ChaosAction:
     seconds: float = 0.0
     #: How many dispatches ``flaky`` poisons (1 for every other kind).
     attempts: int = 1
-    #: Disk-cache directory targeted by ``cache-corrupt``.
+    #: Artifact-store directory targeted by ``cache-corrupt``.
     cache_dir: Optional[str] = None
 
     def applies(self, dispatch: int) -> bool:
@@ -106,31 +101,26 @@ class ChaosAction:
         elif self.kind == "cache-corrupt":
             self._corrupt_cache_entry()
 
-    def apply_after(self, wire) -> None:
-        if self.kind == "shm-corrupt":
-            for name in wire_segment_names(wire):
-                corrupt_segment(name)
-        elif self.kind == "kill-after-encode":
+    def apply_after(self) -> None:
+        if self.kind == "kill-after-run":
             os._exit(137)
 
     def _corrupt_cache_entry(self) -> None:
-        """Scribble over one on-disk cache entry (chosen by the same
-        hash that selected this action, for reproducibility given the
-        same directory contents).  The cache's corrupt-is-a-miss policy
-        evicts it and recomputes -- results must not change."""
+        """Scribble over one store entry, chosen from the walk ``cache
+        gc`` makes (pins and tmp droppings excluded) by a hash of the
+        directory, so the same directory contents pick the same victim.
+        The store's corrupt-is-a-miss policy evicts it and recomputes
+        -- results must not change."""
         if not self.cache_dir:
             return
-        try:
-            entries = sorted(name for name in os.listdir(self.cache_dir)
-                             if name.endswith(".pkl"))
-        except OSError:
-            return
+        entries = sorted(entry for entry in entry_files(self.cache_dir)
+                         if entry[0].endswith(".pkl"))
         if not entries:
             return
         digest = hashlib.sha256(self.cache_dir.encode()).digest()
-        victim = entries[int.from_bytes(digest[:4], "big") % len(entries)]
+        _, victim = entries[int.from_bytes(digest[:4], "big") % len(entries)]
         try:
-            with open(os.path.join(self.cache_dir, victim), "wb") as fh:
+            with open(victim, "wb") as fh:
                 fh.write(b"\xffchaos-garbage\xff")
         except OSError:
             pass

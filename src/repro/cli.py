@@ -313,8 +313,7 @@ def _cmd_report_bench(args) -> int:
           f"{report.get('scale', '?')}, {snapshot.get('pool.workers', '?')} "
           f"worker(s), wall {wall:.2f}s")
     print(f"crashes: {snapshot.get('pool.crashes', 0)}, driver fallbacks: "
-          f"{snapshot.get('pool.fallback_tasks', 0)}, shm swept: "
-          f"{snapshot.get('pool.shm_swept', 0)}")
+          f"{snapshot.get('pool.fallback_tasks', 0)}")
     fabric = report.get("fabric") or {}
     if any(fabric.values()):
         print(f"faults:  timeouts {fabric.get('timeouts', 0)}, transient "
@@ -329,10 +328,6 @@ def _cmd_report_bench(args) -> int:
               + f"; {len(report.get('retried_points') or ())} retried "
               f"point(s), {len(report.get('timed_out_tasks') or ())} "
               f"timed-out task(s)")
-    resume = report.get("resume") or {}
-    if resume.get("enabled"):
-        print(f"resume:  {len(resume.get('reused_points', ()))} point(s) "
-              f"reused from {resume.get('journal', '?')}")
     print()
     rows = []
     for worker in sorted(per_worker):
@@ -553,7 +548,6 @@ def cmd_bench(args) -> int:
             skip_naive=args.skip_naive,
             chaos=chaos,
             task_timeout=getattr(args, "task_timeout", None),
-            resume=getattr(args, "resume", False),
         )
         print(format_report(report))
         degraded = degraded or bool(report.get("degraded_points"))
@@ -907,10 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-task deadline before a hung worker is "
                               "reaped (positive seconds; default: derived "
                               "from the fitted cost model)")
-    bench_p.add_argument("--resume", action="store_true",
-                         help="reuse completed points from the sweep "
-                              "journal (SWEEP_<figure>.jsonl in --out) and "
-                              "recompute only missing/invalidated ones")
 
     fuzz_p = sub.add_parser(
         "fuzz", help="differential fuzzing of the DSWP pipeline"

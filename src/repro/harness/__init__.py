@@ -1,6 +1,6 @@
 """Experiment harness: run workloads through the compile/simulate pipeline."""
 
-from repro.harness.cache import ExperimentCache, case_digest
+from repro.harness.cache import ExperimentCache
 from repro.harness.reporting import format_table, geomean, percent
 from repro.harness.results import experiment_to_dict, results_to_json
 from repro.harness.runner import (
@@ -18,7 +18,6 @@ __all__ = [
     "DSWPRun",
     "ExperimentCache",
     "ExperimentResult",
-    "case_digest",
     "experiment_to_dict",
     "format_table",
     "geomean",

@@ -14,11 +14,11 @@ them:
   task per trace set, each config simulated once: a warm worker pool
   whose per-process arena keeps each workload's built case and open
   :class:`~repro.incr.store.ArtifactStore` handle alive across tasks,
-  a cost-aware work-stealing scheduler that places each workload's
+  and a cost-aware work-stealing scheduler that places each workload's
   tasks on the worker already warm for it (cost estimates fitted from
-  prior ``BENCH_*.json`` timings), and shared-memory result transport.
-  The store's disk layer (under ``--out``) shares functional artefacts
-  between workers and across sweep invocations.
+  prior ``BENCH_*.json`` timings).  The store's disk layer (under
+  ``--out``) shares functional artefacts between workers and across
+  sweep invocations, so a killed sweep resumes by being re-run.
 
 Both modes must produce *identical* functional results (cycles, IPCs,
 instruction counts per point); because the naive mode interprets with
@@ -371,8 +371,8 @@ def run_optimized(
     ``chaos`` arms a :class:`~repro.chaos.ChaosPlan` on the pool;
     ``task_timeout`` overrides the cost-model-derived per-task deadline
     (see :func:`derive_timeout`); ``journal`` receives every completed
-    point through the pool's ``on_result`` hook, so progress survives a
-    killed driver at point granularity.
+    point through the pool's ``on_result`` hook, so it shows how far a
+    killed sweep got.
 
     Returns a dict with ``points`` (sweep order), ``stages``, ``jobs``
     (worker count actually used), ``num_tasks``, ``degraded_points``,
@@ -386,7 +386,7 @@ def run_optimized(
     chaos_enabled = chaos is not None
 
     if not points:
-        # Every point was served (journal or incremental plan): the
+        # Every point was served by the incremental plan: the
         # fabric never spins up -- no fork, no pool telemetry.  This is
         # the warm no-op fast path the incremental planner exists for.
         return {
@@ -422,8 +422,7 @@ def run_optimized(
     spec_by_id = {spec["id"]: spec for spec in points}
 
     def _journal_result(result) -> None:
-        """Persist each point the moment its task's result lands
-        (crash-safe resume granularity is per *point*)."""
+        """Journal each point the moment its task's result lands."""
         covered = result.value["points"]
         for point in covered:
             journal.record_point(spec_by_id[point["id"]], point,
@@ -560,7 +559,6 @@ def run_bench(
     cache_dir: Optional[str] = None,
     chaos=None,
     task_timeout: Optional[float] = None,
-    resume: bool = False,
 ) -> dict:
     """Run one figure's sweep; returns (and writes) the report dict.
 
@@ -571,20 +569,20 @@ def run_bench(
     :class:`~repro.obs.metrics.MetricsRegistry`), so a report on disk
     is attributable to the code and configuration that produced it.
 
-    ``cache_dir`` is the :class:`~repro.harness.cache.ExperimentCache`
-    disk layer shared by the workers (default: ``.bench-cache`` under
-    ``out_dir``); ``skip_naive`` switches the naive comparison lane to
-    the deterministic sample (see :func:`verification_sample`).  The
-    report's ``verification`` block records the mode and the covered
-    point ids.
+    ``cache_dir`` is the directory of the
+    :class:`~repro.incr.store.ArtifactStore` the workers and later
+    sweeps share (default: ``.bench-cache`` under ``out_dir``); every
+    config a sweep simulates is recorded there as it finishes, so a
+    killed sweep resumes by being re-run.  ``skip_naive`` switches the
+    naive comparison lane to the deterministic sample (see
+    :func:`verification_sample`).  The report's ``verification`` block
+    records the mode and the covered point ids.
 
     ``chaos`` arms fault injection on the pool (the report gains a
     ``chaos`` provenance block); ``task_timeout`` overrides the derived
     per-task deadline.  Every completed point is appended to
-    ``SWEEP_<figure>.jsonl`` in ``out_dir``; ``resume`` replays that
-    journal first and recomputes only missing or fingerprint-invalid
-    points (see :mod:`repro.harness.journal`), recording what it reused
-    in the report's ``resume`` block.
+    ``SWEEP_<figure>.jsonl`` in ``out_dir`` (see
+    :mod:`repro.harness.journal`).
     """
     from repro.obs import MetricsRegistry, record_provenance
 
@@ -593,63 +591,39 @@ def run_bench(
         cache_dir = os.path.join(out_dir, ".bench-cache")
 
     os.makedirs(out_dir, exist_ok=True)  # the journal opens before any write
-    journal_path = os.path.join(out_dir, f"SWEEP_{figure}.jsonl")
-    reused: dict[str, dict] = {}
-    if resume:
-        reused = SweepJournal.load(journal_path).reusable(points)
-    # A fresh sweep truncates the journal (stale entries must not leak
-    # into a later --resume); a resumed sweep appends to it, so resume
-    # is re-entrant after repeated kills.
-    journal = SweepJournal.start(journal_path, figure, scale,
-                                 fresh=not resume)
-    missing = [spec for spec in points if spec["id"] not in reused]
+    journal = SweepJournal.start(
+        os.path.join(out_dir, f"SWEEP_{figure}.jsonl"), figure, scale)
 
     registry = MetricsRegistry()
 
     # Incremental planning: prove which points the artifact store can
     # serve outright before the fabric spins up.  The plan walks the
-    # *full* point set (the figure stage's key spans every point);
-    # journal reuse then takes precedence over store serving for the
-    # resumed subset, so --resume semantics are unchanged.
+    # *full* point set (the figure stage's key spans every point).
     store = ArtifactStore(persist_dir=cache_dir)
     plan = build_figure_plan(store, figure, scale, points)
-    served = {pid: point for pid, point in plan.served.items()
-              if pid not in reused}
-    pending = [spec for spec in plan.pending if spec["id"] not in reused]
+    served = plan.served
 
     t0 = time.perf_counter()
-    optimized = run_optimized(pending, jobs, cache_dir=cache_dir,
+    optimized = run_optimized(plan.pending, jobs, cache_dir=cache_dir,
                               cost_dir=out_dir, registry=registry,
                               chaos=chaos, task_timeout=task_timeout,
                               journal=journal)
     optimized_seconds = time.perf_counter() - t0
 
-    # Served points are journalled too (at zero seconds): a fresh run's
-    # journal always covers the full sweep, whatever mix of compute and
+    # Served points are journalled too (at zero seconds): a finished
+    # sweep's journal covers every point, whatever mix of compute and
     # store serving produced it.
     for spec in points:
         if spec["id"] in served:
             journal.record_point(spec, served[spec["id"]], 0.0)
 
-    # Splice the three sources back into sweep order: journal-reused,
-    # store-served, freshly computed.
+    # Merge store-served and freshly computed points in sweep order.
     by_new = {p["id"]: p for p in optimized["points"]}
     merged_points: list[dict] = []
     merged_seconds: dict[str, float] = {}
     for spec in points:
         pid = spec["id"]
-        entry = reused.get(pid)
-        if entry is not None:
-            point = dict(entry["point"])
-            if entry.get("degraded"):
-                point["degraded"] = True
-            merged_points.append(point)
-            merged_seconds[pid] = float(entry.get("seconds") or 0.0)
-            if entry.get("retries"):
-                optimized["retried_points"].append(pid)
-            if entry.get("timed_out"):
-                optimized["timed_out_tasks"].append(pid)
-        elif pid in served:
+        if pid in served:
             merged_points.append(dict(served[pid]))
             merged_seconds[pid] = 0.0
         else:
@@ -657,22 +631,24 @@ def run_bench(
             merged_seconds[pid] = optimized["point_seconds"][pid]
     optimized["points"] = merged_points
     optimized["point_seconds"] = merged_seconds
-    optimized["degraded_points"] = [
-        p["id"] for p in merged_points if p.get("degraded")]
 
     # Figure aggregation stage: prove-or-record now that every
     # simulate receipt the chain needs is on disk.
     figure_info = finalize_figure(plan, store, points, merged_points)
     plan.record_metrics(registry)
     incr_block = plan.report()
-    incr_block["served_points"] = sorted(served)
-    incr_block["pending_points"] = [spec["id"] for spec in pending]
     incr_block["figure"] = figure_info
     plan.release()
 
     jobs_used = optimized["jobs"]
     degraded_ids = optimized["degraded_points"]
     cache_stats = optimized["cache_stats"]
+    # Corrupt receipts the planner read were evicted here, in the
+    # driver: count them with the workers' evictions.
+    evicted = store.stats()["corrupt_evictions"]
+    if evicted:
+        cache_stats["corrupt_evictions"] = \
+            cache_stats.get("corrupt_evictions", 0) + evicted
 
     provenance = record_provenance(
         registry,
@@ -686,7 +662,6 @@ def run_bench(
         len(optimized["retried_points"]))
     registry.gauge("bench.timed_out_tasks").set(
         len(optimized["timed_out_tasks"]))
-    registry.gauge("bench.resumed_points").set(len(reused))
     registry.gauge("bench.served_points").set(len(served))
     registry.gauge("bench.scheduled_stages").set(plan.scheduled_total())
     for key, value in sorted(cache_stats.items()):
@@ -716,12 +691,6 @@ def run_bench(
         "fabric": optimized["fabric"],
         "fabric_incidents": optimized["incidents"],
         "chaos": chaos.describe() if chaos is not None else None,
-        "resume": {
-            "enabled": resume,
-            "journal": journal_path,
-            "reused_points": sorted(reused),
-            "recomputed_points": [spec["id"] for spec in missing],
-        },
         "incr": incr_block,
         "cache_stats": cache_stats,
         "optimized_seconds": optimized_seconds,
@@ -826,13 +795,6 @@ def format_report(report: dict) -> str:
             f"scheduled ({incr.get('compute_scheduled', 0)} compute), "
             f"{len(incr.get('served_points', ()))} point(s) served from "
             f"store [{stage_text}]"
-        )
-    resume = report.get("resume") or {}
-    if resume.get("enabled"):
-        lines.append(
-            f"  resumed:   {len(resume.get('reused_points', ()))} point(s) "
-            f"reused from journal, "
-            f"{len(resume.get('recomputed_points', ()))} recomputed"
         )
     if report.get("chaos"):
         chaos = report["chaos"]

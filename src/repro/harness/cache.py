@@ -1,34 +1,26 @@
-"""Content-keyed cache for functional experiment artefacts.
+"""Content-keyed object cache: the persistence layer under the store.
 
-Machine-configuration sweeps (Fig. 9's issue-width and communication-
-latency series, the CLI ``sweep`` command, the bench runner) change
-only *timing* parameters: the functional execution -- baseline
-interpretation, DSWP transformation, multi-threaded execution -- is
-identical across every point of the sweep.  Re-running it per point is
-where the naive pipeline spends most of its time.
+:class:`ExperimentCache` maps ``(kind, key)`` to a picklable object, in
+memory and -- with ``persist_dir`` set -- on disk, so entries survive
+across processes: that is how bench workers, later sweeps and the
+compile service share stage artefacts.  Callers supply their own keys;
+the :class:`~repro.incr.store.ArtifactStore` keys artefacts by
+semantic content digest and receipts by stage key
+(:mod:`repro.incr.dag`), which is where code versions and inputs enter.
 
-:class:`ExperimentCache` memoises those functional artefacts.  Keys are
-*content-derived*, not identity-derived: a case is keyed by the SHA-256
-digest of its rendered IR, its input memory image, its initial
-registers and its call-handler names, so two independently built but
-identical cases share entries, while any change to the program or its
-input produces a different key.  DSWP runs are additionally keyed by
-the requested partition, alias-model mode and thread count -- every
-knob that can change which transformed program executes.
-
-The cache holds traces (columnar, so memory-cheap) and profiles; it
-never holds :class:`~repro.machine.stats.SimResult`, because timing is
-exactly what a sweep varies.
-
-With ``persist_dir`` set, entries additionally spill to disk (pickled,
-written atomically via rename) and survive across processes -- that is
-how bench workers reuse functional work between sweep invocations.  A
-disk entry that fails to load for *any* reason -- truncated file,
-pickle garbage, a payload whose shape does not match -- is treated as
-a plain miss: the entry is logged, evicted (deleted) and re-run, and
+Disk entries are pickled and written atomically: a unique tmp file per
+writer, then one ``os.replace``, so concurrent writers of one entry
+both leave a valid file.  An entry that fails to load for *any*
+reason -- truncated file, pickle garbage, a payload whose shape does
+not match -- is treated as a plain miss: it is logged, evicted
+(deleted) and the caller recomputes it, and
 ``stats()['corrupt_evictions']`` counts how often that happened.  A
 corrupt cache can cost time; it must never cost correctness or crash
 the sweep.
+
+:class:`ShardedExperimentCache` banks several caches behind per-shard
+locks for concurrent callers; the store and the service's response
+cache sit on it.
 """
 
 from __future__ import annotations
@@ -39,46 +31,9 @@ import pickle
 import threading
 from typing import Callable, Optional
 
-from repro.analysis.memdep import AliasModel
-from repro.analysis.profiling import LoopProfile
-from repro.core.partition import Partition
-from repro.harness.runner import (
-    BaselineRun,
-    DSWPRun,
-    ExperimentResult,
-    run_baseline,
-    run_dswp,
-    run_experiment,
-)
-from repro.machine.config import MachineConfig
-from repro.machine.fingerprint import case_fingerprint
-from repro.workloads.base import Workload, WorkloadCase
-
-
-def case_digest(case: WorkloadCase) -> str:
-    """SHA-256 over everything that determines a case's functional
-    behaviour: program text, loop selection, memory image, initial
-    registers and the set of installed call handlers.  Delegates to the
-    canonical hasher (:func:`repro.machine.fingerprint.case_fingerprint`)
-    so the experiment cache, the incremental stage keys and the service
-    all address one identity."""
-    return case_fingerprint(case)
-
-
-def _partition_key(partition: Optional[Partition]) -> Optional[tuple]:
-    if partition is None:
-        return None
-    return tuple(tuple(sorted(stage)) for stage in partition.stages)
-
-
-def _alias_key(alias_model: Optional[AliasModel]) -> Optional[str]:
-    if alias_model is None:
-        return None
-    return alias_model.mode.name
-
 
 class ExperimentCache:
-    """Memoises functional runs across machine-configuration sweeps.
+    """Content-keyed objects in memory and, optionally, on disk.
 
     ``persist_dir`` enables the on-disk layer; ``log`` receives one
     line per evicted-corrupt entry (default: silent).  ``metrics`` (a
@@ -92,9 +47,6 @@ class ExperimentCache:
     def __init__(self, persist_dir: Optional[str] = None,
                  log: Optional[Callable[[str], None]] = None,
                  metrics=None) -> None:
-        self._digests: dict[int, tuple[WorkloadCase, str]] = {}
-        self._baselines: dict[str, BaselineRun] = {}
-        self._dswp: dict[tuple, DSWPRun] = {}
         self._objects: dict[tuple, object] = {}
         self.persist_dir = persist_dir
         self._log = log or (lambda message: None)
@@ -176,113 +128,8 @@ class ExperimentCache:
                 pass
 
     # ------------------------------------------------------------------
-    def digest(self, case: WorkloadCase) -> str:
-        """Content digest of ``case``, memoised per case object.
-
-        The per-object memo is safe because cases are immutable after
-        construction in every harness path; callers that mutate a case
-        in place must construct a fresh ``WorkloadCase``.  The memo
-        entry pins the case object itself: an ``id()`` key alone is a
-        use-after-free -- once the case is garbage-collected a fresh
-        case can reuse its id and silently inherit the wrong digest
-        (and with it another workload's cached artefacts).
-        """
-        key = id(case)
-        entry = self._digests.get(key)
-        if entry is not None and entry[0] is case:
-            return entry[1]
-        digest = case_digest(case)
-        self._digests[key] = (case, digest)
-        return digest
-
-    # ------------------------------------------------------------------
-    def baseline(self, case: WorkloadCase, check: bool = True) -> BaselineRun:
-        """Cached :func:`run_baseline` (trace + profile, one interpretation)."""
-        key = f"{self.digest(case)}:{check}"
-        run = self._baselines.get(key)
-        if run is not None:
-            self.hits += 1
-            self._count("cache.hits")
-            return run
-        data = self._load_entry("baseline", key)
-        if data is not None:
-            self.hits += 1
-            self._count("cache.hits")
-            # Rebind the profile to the live case's loop.  The pickled
-            # profile carries a *copy* of the loop whose instruction
-            # objects can never match the live function by identity, so
-            # every instruction weight would read as 0.0 and the
-            # partition heuristic would silently flip.
-            loaded = data["profile"]
-            profile = LoopProfile(loaded.block_counts, loaded.header_trips,
-                                  case.loop)
-            run = BaselineRun(case, data["trace"], profile,
-                              memory=data.get("memory"),
-                              regs=data.get("regs"))
-        else:
-            self.misses += 1
-            self._count("cache.misses")
-            run = run_baseline(case, check=check)
-            self._store_entry("baseline", key, {
-                "trace": run.trace, "profile": run.profile,
-                "memory": run.memory, "regs": run.regs,
-            })
-        self._baselines[key] = run
-        return run
-
-    def dswp(
-        self,
-        case: WorkloadCase,
-        baseline: Optional[BaselineRun] = None,
-        partition: Optional[Partition] = None,
-        alias_model: Optional[AliasModel] = None,
-        threads: int = 2,
-        check: bool = True,
-    ) -> DSWPRun:
-        """Cached :func:`run_dswp` keyed by every transform knob."""
-        key = (
-            self.digest(case),
-            _partition_key(partition),
-            _alias_key(alias_model),
-            threads,
-            check,
-        )
-        run = self._dswp.get(key)
-        if run is not None:
-            self.hits += 1
-            self._count("cache.hits")
-            return run
-        data = self._load_entry("dswp", key)
-        if data is not None:
-            self.hits += 1
-            self._count("cache.hits")
-            run = DSWPRun(data["result"], data["traces"])
-        else:
-            self.misses += 1
-            self._count("cache.misses")
-            run = run_dswp(
-                case,
-                baseline if baseline is not None else self.baseline(case, check=check),
-                partition=partition,
-                alias_model=alias_model,
-                threads=threads,
-                check=check,
-            )
-            self._store_entry("dswp", key,
-                              {"result": run.result, "traces": run.traces})
-        self._dswp[key] = run
-        return run
-
-    # ------------------------------------------------------------------
     def get_object(self, kind: str, key) -> Optional[object]:
-        """Generic content-keyed artefact lookup (memory, then disk).
-
-        Used by layers above the functional pipeline -- e.g. the
-        batched simulator's trace annotations and compiled replay code
-        (:mod:`repro.machine.batch`) -- that want the same
-        corruption-is-a-miss persistence the functional artefacts get.
-        Returns ``None`` on a miss.
-        """
+        """Content-keyed lookup (memory, then disk); ``None`` on a miss."""
         memo_key = (kind, key)
         obj = self._objects.get(memo_key)
         if obj is not None:
@@ -322,43 +169,10 @@ class ExperimentCache:
         return os.path.exists(self._entry_path(kind, key))
 
     # ------------------------------------------------------------------
-    def run_experiment(
-        self,
-        workload: Workload,
-        case: Optional[WorkloadCase] = None,
-        machine: Optional[MachineConfig] = None,
-        baseline_machine: Optional[MachineConfig] = None,
-        partition: Optional[Partition] = None,
-        alias_model: Optional[AliasModel] = None,
-        scale: Optional[int] = None,
-        check: bool = True,
-    ) -> ExperimentResult:
-        """Drop-in cached variant of :func:`repro.harness.runner.run_experiment`.
-
-        Functional work (interpret, transform, pipeline execution) is
-        cached; only the trace replays on the timing model run per
-        call.  ``case`` lets sweep drivers build the workload once and
-        share one object (and hence one digest memo) across points.
-        """
-        return run_experiment(
-            workload,
-            machine=machine,
-            baseline_machine=baseline_machine,
-            partition=partition,
-            alias_model=alias_model,
-            scale=scale,
-            check=check,
-            cache=self,
-            case=case,
-        )
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "baselines": len(self._baselines),
-            "dswp_runs": len(self._dswp),
             "corrupt_evictions": self.corrupt_evictions,
             **self._object_counts,
         }
@@ -367,22 +181,18 @@ class ExperimentCache:
 class ShardedExperimentCache:
     """A bank of :class:`ExperimentCache` shards for concurrent readers.
 
-    One :class:`ExperimentCache` is single-threaded by design (the
-    sweep drivers own one per worker process).  The compile service
-    has a different shape: many asyncio requests and a dispatcher
-    thread all consult one shared response/artefact cache.  Sharding
-    gives it safe concurrency without a global lock: keys route to a
-    shard by content hash (stable across processes and runs), each
-    shard is guarded by its own mutex, and readers of different shards
-    never contend.  Shard ``i`` persists under
+    One :class:`ExperimentCache` is single-threaded by design.  The
+    compile service has a different shape: many asyncio requests and a
+    dispatcher thread all consult one shared response/artefact cache.
+    Sharding gives it safe concurrency without a global lock: keys
+    route to a shard by content hash (stable across processes and
+    runs), each shard is guarded by its own mutex, and readers of
+    different shards never contend.  Shard ``i`` persists under
     ``<persist_dir>/shard-<i>``, so the disk layer inherits the same
     partitioning and two shards never race on one file.
 
-    Only the generic object layer (:meth:`get_object` /
-    :meth:`put_object`) and :meth:`stats` are exposed: the service
-    caches *response payloads* keyed by request content hash; the
-    functional artefact layers stay per-worker where the arena already
-    owns them.
+    It exposes the same object layer (:meth:`get_object`,
+    :meth:`put_object`, :meth:`has_object`) and :meth:`stats`.
     """
 
     def __init__(self, persist_dir: Optional[str] = None, shards: int = 8,

@@ -1,57 +1,29 @@
-"""Append-only sweep journal: crash-safe progress for ``bench``.
+"""Append-only sweep journal: progress a killed ``bench`` leaves behind.
 
-A killed sweep (SIGKILL, OOM, power loss) used to restart from zero.
-The journal makes progress durable at point granularity: as each sweep
-point's result lands in the driver, one self-contained JSONL record --
-point id, an input *fingerprint*, the functional result, timing and
-degradation provenance -- is appended with a single ``O_APPEND``
-``write``.  ``bench --resume`` then replays the journal and recomputes
-only the points that are missing or invalidated.
-
-Integrity model:
+As each sweep point's result lands in the driver, one self-contained
+JSONL record -- point id, the functional result, timing and
+degradation provenance -- is appended to ``SWEEP_<figure>.jsonl`` with
+a single ``O_APPEND`` ``write``, so the file shows how far a killed
+sweep got.  Nothing reads it back: a killed sweep resumes by being
+re-run, because every simulated config's summary is already in the
+artifact store (:mod:`repro.incr`), which serves it under a key that
+also covers the code.
 
 * **Atomic appends.**  Each record is one ``os.write`` to an
   ``O_APPEND`` descriptor: records from concurrent writers interleave
   whole, never intra-line (POSIX append semantics for regular files),
-  so two sweeps sharing a journal cannot tear each other's records.
-* **Torn tails are dropped, not fatal.**  A crash mid-append leaves at
-  most one partial final line; the loader skips any line that fails to
-  parse or lacks the record schema, so a journal is never "corrupt" --
-  merely shorter.
-* **Fingerprints gate reuse.**  A record is only reusable for a spec
-  whose :func:`point_fingerprint` -- a digest of the *canonical spec
-  JSON* plus a format-version salt -- matches the recorded one.  A
-  changed scale, machine config or journal format invalidates the
-  entry (it is simply recomputed and re-appended; last record wins).
-* **Resume is re-entrant.**  Resuming appends to the same journal, so
-  a resumed run that is itself killed resumes again from the union of
-  both runs' completed points.
+  and a crash tears at most the final line.
+* **One sweep per file.**  :meth:`SweepJournal.start` truncates: the
+  file only ever describes the latest sweep of its figure.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from typing import Optional
 
-#: Bump to invalidate every existing journal entry (format change,
-#: semantic change to what a point result contains).
-JOURNAL_VERSION = 1
-
-
-def point_fingerprint(spec: dict) -> str:
-    """Content fingerprint of a sweep-point *input* spec.
-
-    Canonical JSON (sorted keys, no whitespace) digested with the
-    journal format version, so any change to what the point would
-    compute -- workload, scale, kind, machine config -- or to the
-    record schema yields a different fingerprint and the stale entry
-    is recomputed instead of reused.
-    """
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(
-        f"sweep-v{JOURNAL_VERSION}:{blob}".encode()).hexdigest()
+#: Bump when the record schema changes.
+JOURNAL_VERSION = 2
 
 
 class SweepJournal:
@@ -59,28 +31,12 @@ class SweepJournal:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.header: Optional[dict] = None
-        #: Latest valid record per point id (load order = file order,
-        #: so a recomputed point's newer record shadows the old one).
-        self.entries: dict[str, dict] = {}
 
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     @classmethod
-    def start(cls, path: str, figure: str, scale: int,
-              fresh: bool = True) -> "SweepJournal":
-        """Open a journal for writing.
-
-        ``fresh`` truncates any existing file (a non-resumed sweep
-        starts a new journal -- stale entries from an older sweep of
-        the same figure must not survive into ``--resume``); with
-        ``fresh=False`` the file is kept and new records append after
-        the existing ones.
-        """
+    def start(cls, path: str, figure: str, scale: int) -> "SweepJournal":
+        """Open a journal for writing, truncating any older sweep's."""
         journal = cls(path)
-        flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if fresh else 0)
-        fd = os.open(path, flags, 0o644)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         os.close(fd)
         journal._append({"kind": "header", "figure": figure, "scale": scale,
                          "version": JOURNAL_VERSION})
@@ -102,63 +58,12 @@ class SweepJournal:
                      timed_out: bool = False) -> None:
         """Persist one completed point (called from the pool's
         ``on_result`` hook, i.e. the moment the result lands)."""
-        record = {
+        self._append({
             "kind": "point",
             "id": spec["id"],
-            "fingerprint": point_fingerprint(spec),
             "point": point,
             "seconds": seconds,
             "degraded": bool(degraded),
             "retries": int(retries),
             "timed_out": bool(timed_out),
-        }
-        self.entries[spec["id"]] = record
-        self._append(record)
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    @classmethod
-    def load(cls, path: str) -> "SweepJournal":
-        """Parse a journal; tolerant of torn tails and garbage lines.
-
-        A missing file yields an empty journal (resume of a sweep that
-        never started simply computes everything).
-        """
-        journal = cls(path)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError:
-            return journal
-        for line in raw.splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn or garbage line: skip, don't fail
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("kind")
-            if kind == "header" and journal.header is None:
-                journal.header = record
-            elif (kind == "point"
-                  and isinstance(record.get("id"), str)
-                  and isinstance(record.get("fingerprint"), str)
-                  and isinstance(record.get("point"), dict)):
-                journal.entries[record["id"]] = record
-        return journal
-
-    def reusable(self, specs: list[dict]) -> dict[str, dict]:
-        """The journal entries valid for ``specs``, keyed by point id.
-
-        An entry whose fingerprint does not match the *current* spec
-        (changed inputs, changed journal version) is excluded --
-        invalidated, never silently reused.
-        """
-        out: dict[str, dict] = {}
-        for spec in specs:
-            entry = self.entries.get(spec["id"])
-            if (entry is not None
-                    and entry["fingerprint"] == point_fingerprint(spec)):
-                out[spec["id"]] = entry
-        return out
+        })

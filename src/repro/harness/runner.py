@@ -168,7 +168,6 @@ def run_experiment(
     scale: Optional[int] = None,
     check: bool = True,
     obs: Optional[ObsConfig] = None,
-    cache=None,
     case: Optional[WorkloadCase] = None,
     store=None,
 ) -> ExperimentResult:
@@ -181,16 +180,14 @@ def run_experiment(
     pipeline simulation's stall/occupancy/utilization telemetry.  The
     default observes nothing and executes the exact same code path.
 
-    ``cache`` (an :class:`~repro.harness.cache.ExperimentCache`) routes
-    the functional stages -- baseline interpretation and the DSWP
-    transform + pipeline execution -- through the cache, so repeated
-    machine-configuration points only re-run the timing simulation.
     ``store`` (an :class:`~repro.incr.store.ArtifactStore`) routes the
-    same stages through the content-addressed stage wrappers instead
-    (:mod:`repro.incr.stages`): stage keys roll with code edits, and a
-    store directory shared with a bench sweep or the compile service
-    reuses their recorded prefixes.  ``store`` wins when both are
-    given.  ``case`` supplies a pre-built workload case (skipping the
+    functional stages -- baseline interpretation and the DSWP
+    transform + pipeline execution -- through the content-addressed
+    stage wrappers (:mod:`repro.incr.stages`), so repeated
+    machine-configuration points only re-run the timing simulation:
+    stage keys roll with code edits, and a store directory shared with
+    a bench sweep or the compile service reuses their recorded
+    prefixes.  ``case`` supplies a pre-built workload case (skipping the
     build phase); sweep drivers use it to share one case object, and
     hence one content digest, across every point.
     """
@@ -209,8 +206,6 @@ def run_experiment(
 
                 interp = interpret_stage(store, case, check=check)
                 baseline = interp.value
-            elif cache is not None:
-                baseline = cache.baseline(case, check=check)
             else:
                 baseline = run_baseline(case, check=check)
         base_sim = simulate([baseline.trace], baseline_machine,
@@ -223,11 +218,6 @@ def run_experiment(
                     store, case, interp, partition=partition,
                     alias_model=alias_model, check=check,
                 ).value
-            elif cache is not None:
-                transformed = cache.dswp(
-                    case, baseline, partition=partition,
-                    alias_model=alias_model, check=check,
-                )
             else:
                 transformed = run_dswp(
                     case, baseline, partition=partition,

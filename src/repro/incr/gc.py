@@ -35,7 +35,7 @@ from repro.incr.store import ArtifactStore
 TMP_GRACE_SECONDS = 15 * 60
 
 
-def _entry_files(persist_dir: str):
+def entry_files(persist_dir: str):
     """Yield ``(relpath, abspath)`` for every store entry file,
     skipping the pins directory."""
     for dirpath, dirnames, filenames in os.walk(persist_dir):
@@ -71,7 +71,7 @@ def collect(persist_dir: str, max_bytes: Optional[int] = None,
     pinned = ArtifactStore.pinned_paths(persist_dir)
     now = time.time()
     entries = []  # (atime, size, relpath, path)
-    for rel, path in _entry_files(persist_dir):
+    for rel, path in entry_files(persist_dir):
         try:
             st = os.stat(path)
         except OSError:

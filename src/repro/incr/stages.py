@@ -34,7 +34,6 @@ import weakref
 from typing import Callable, Optional
 
 from repro.analysis.profiling import LoopProfile
-from repro.harness.cache import _alias_key, _partition_key
 from repro.harness.runner import BaselineRun, DSWPRun, run_baseline, run_dswp
 from repro.incr import dag
 from repro.machine.fingerprint import case_fingerprint, content_digest, \
@@ -178,6 +177,18 @@ def interpret_stage(store, case, check: bool = True) -> StageOutcome:
 # ----------------------------------------------------------------------
 # transform
 # ----------------------------------------------------------------------
+
+def _partition_key(partition) -> Optional[tuple]:
+    if partition is None:
+        return None
+    return tuple(tuple(sorted(stage)) for stage in partition.stages)
+
+
+def _alias_key(alias_model) -> Optional[str]:
+    if alias_model is None:
+        return None
+    return alias_model.mode.name
+
 
 def transform_stage(
     store,

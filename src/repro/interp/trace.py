@@ -226,44 +226,15 @@ class ColumnarTrace:
         """Materialise the legacy object form (tests, debugging)."""
         return [self.entry(i) for i in range(len(self))]
 
-    # ------------------------------------------------------------------
-    # Column serialisation (shared-memory transport)
-    # ------------------------------------------------------------------
     def column_bytes(self) -> tuple[bytes, bytes, bytes]:
         """The three columns as raw buffers ``(sids, addrs, takens)``.
 
-        This is the zero-copy half of the cross-process transport in
-        :mod:`repro.parallel.shm`: the columns are the bulk of a trace
-        and travel as flat bytes (into a shared-memory segment), while
-        the small object parts (:attr:`statics`, the address-overflow
-        side table) are pickled separately.
+        :func:`~repro.machine.fingerprint.trace_digest` hashes these:
+        they are the bulk of a trace's content, and their bytes are the
+        same in every process that recorded the same execution.
         """
         return (self.sids.tobytes(), self.addrs.tobytes(),
                 self.takens.tobytes())
-
-    @classmethod
-    def from_column_bytes(
-        cls,
-        statics: list[StaticOp],
-        sids: bytes,
-        addrs: bytes,
-        takens: bytes,
-        addr_overflow: Optional[dict[int, int]] = None,
-    ) -> "ColumnarTrace":
-        """Rebuild a trace from :meth:`column_bytes` output.
-
-        The interning index is reconstructed from ``statics``, so the
-        reattached trace is fully functional (it can keep growing and
-        keeps answering :meth:`intern` consistently).
-        """
-        trace = cls(statics)
-        trace.sids.frombytes(sids)
-        trace.addrs.frombytes(addrs)
-        trace.takens.frombytes(takens)
-        if addr_overflow:
-            trace._addr_overflow = dict(addr_overflow)
-        trace._sid_index = {(s.inst.uid, s.block): s.sid for s in statics}
-        return trace
 
     def __repr__(self) -> str:
         return (f"<ColumnarTrace {len(self)} entries over "

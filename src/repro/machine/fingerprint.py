@@ -10,8 +10,8 @@ This module is the single hasher every layer keys on
   under the incremental stage keys (:mod:`repro.incr.dag`).
 * :func:`case_fingerprint` -- a workload case's functional identity
   (rendered IR, loop selection, memory image, registers, call
-  handlers); :func:`repro.harness.cache.case_digest` and the
-  experiment cache key on it.
+  handlers); every stage key (:mod:`repro.incr.stages`) starts from
+  it, in bench sweeps and in the service alike.
 * :func:`trace_digest` -- everything the timing model reads from a
   trace; :func:`repro.machine.batch.trace_timing_digest` is this plus
   the codegen-version salt.

@@ -1,10 +1,10 @@
-"""Parallel execution fabric: warm worker pool, shared-memory result
-transport and cost-aware work-stealing scheduling.
+"""Parallel execution fabric: warm worker pool and cost-aware
+work-stealing scheduling.
 
 The fabric replaces ad-hoc per-caller fan-out: callers describe their
 work as :class:`PoolTask` items and hand them to a :class:`WorkerPool`;
-placement, transport, crash recovery and telemetry are owned here.
-Both the bench harness (:mod:`repro.harness.bench`) and the fuzz
+placement, result delivery, crash recovery and telemetry are owned
+here.  Both the bench harness (:mod:`repro.harness.bench`) and the fuzz
 campaign (:mod:`repro.fuzz.campaign`) run on it.
 """
 
@@ -17,36 +17,16 @@ from repro.parallel.pool import (
     worker_arena,
 )
 from repro.parallel.scheduler import PoolTask, StealScheduler, TaskResult
-from repro.parallel.shm import (
-    SegmentAllocator,
-    SegmentChecksumError,
-    corrupt_segment,
-    decode_result,
-    encode_result,
-    release_result,
-    shm_available,
-    sweep_worker_segments,
-    wire_segment_names,
-)
 
 __all__ = [
     "CostModel",
     "PoolTask",
-    "SegmentAllocator",
-    "SegmentChecksumError",
     "StealScheduler",
     "TaskFailed",
     "TaskResult",
     "TransientTaskError",
     "WorkerPool",
-    "corrupt_segment",
-    "decode_result",
-    "encode_result",
     "fresh_arena",
     "point_kind",
-    "release_result",
-    "shm_available",
-    "sweep_worker_segments",
-    "wire_segment_names",
     "worker_arena",
 ]

@@ -1,14 +1,13 @@
 """Persistent warm worker pool with crash, hang and flake recovery.
 
 The pool is the execution half of the fabric (scheduling lives in
-:mod:`repro.parallel.scheduler`, transport in
-:mod:`repro.parallel.shm`).  Design points:
+:mod:`repro.parallel.scheduler`).  Design points:
 
 * **Warm workers.**  Workers are forked once and live for the pool's
   lifetime.  Each keeps a process-local *arena* (:func:`worker_arena`)
-  where task functions park expensive state -- decoded programs, an
-  open :class:`~repro.harness.cache.ExperimentCache` handle -- so
-  repeated tasks on the same workload never re-decode or re-pickle.
+  where task functions park expensive state -- built cases, an open
+  :class:`~repro.incr.store.ArtifactStore` handle -- so repeated
+  tasks on the same workload never rebuild or re-decode them.
 * **Pull dispatch.**  The driver hands each idle worker exactly one
   task; completion triggers the next dispatch.  All scheduling
   decisions (affinity, longest-first order, stealing) happen in the
@@ -20,7 +19,10 @@ The pool is the execution half of the fabric (scheduling lives in
   worker dying inside the queue's locked critical section (its feeder
   thread mid-``send``) leaves the shared lock held forever and
   deadlocks every surviving worker.  With per-incarnation pipes a
-  crash can only ever damage the dead worker's own channel.
+  crash can only ever damage the dead worker's own channel.  A worker
+  pickles each result itself, inside the task's error handling, so a
+  result that cannot be pickled surfaces as :class:`TaskFailed` rather
+  than as a worker crash.
 * **Crash recovery.**  A worker that dies mid-task (OOM kill, induced
   crash in tests) is detected by liveness polling; its pipe is drained
   first -- a fully sent result is still honoured -- then the task is
@@ -36,11 +38,9 @@ The pool is the execution half of the fabric (scheduling lives in
   a crash.  Its pipe is drained first, so a result that was fully sent
   moments before the deadline is still honoured.
 * **Transient retry.**  A task that raises :class:`TransientTaskError`
-  (or whose result arrives undecodable -- e.g. a corrupted
-  shared-memory segment) is redispatched to the same worker after a
-  jittered exponential backoff, up to ``max_task_retries`` times,
-  before the in-driver fallback.  Deterministic failures stay
-  fail-fast.
+  is redispatched to the same worker after a jittered exponential
+  backoff, up to ``max_task_retries`` times, before the in-driver
+  fallback.  Deterministic failures stay fail-fast.
 * **Forensics.**  Every crash, reap, transient retry and driver
   fallback appends an :class:`~repro.resilience.incident.IncidentReport`
   (``domain="pool"``) to :attr:`WorkerPool.incidents`, so a degraded
@@ -49,40 +49,28 @@ The pool is the execution half of the fabric (scheduling lives in
   fork -- runs every task in-process in the same scheduled order, so
   callers never need a second code path and results are bit-identical
   by construction.
-* **Segment hygiene.**  Shared-memory segments created by workers are
-  unlinked as results are decoded; on shutdown the pool probes past
-  each worker incarnation's last acknowledged allocation and sweeps
-  anything a crash left behind.
 * **Chaos injection.**  ``WorkerPool(chaos=plan)`` arms a
   :class:`~repro.chaos.ChaosPlan`: workers consult it before and after
-  each task attempt and deterministically kill, hang, slow, flake or
-  corrupt themselves (see ``docs/CHAOS.md``).  The driver is never
-  perturbed, so the recovery paths above -- not the fault injection --
-  decide what the caller observes.
+  each task attempt and deterministically kill, hang, slow or flake
+  themselves, or scribble over a store entry (see ``docs/CHAOS.md``).
+  The driver is never perturbed, so the recovery paths above -- not
+  the fault injection -- decide what the caller observes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import os
+import pickle
 import random
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Callable, Optional
 
 from repro.parallel.scheduler import PoolTask, StealScheduler, TaskResult
-from repro.parallel.shm import (
-    SegmentAllocator,
-    decode_result,
-    encode_result,
-    release_result,
-    shm_available,
-    sweep_worker_segments,
-)
 from repro.resilience.incident import IncidentReport
 
 #: Seconds between liveness checks while waiting for results.
@@ -149,15 +137,8 @@ def _first_line(text: str) -> str:
     return lines[-1] if lines else ""
 
 
-def _worker_main(worker_id: int, incarnation: int, inbox, conn,
-                 pool_uid: str, use_shm: bool, chaos=None) -> None:
+def _worker_main(inbox, conn, chaos=None) -> None:
     _ARENA.clear()  # fork copies the driver arena; workers start cold
-    allocator = (SegmentAllocator(pool_uid, worker_id, incarnation)
-                 if use_shm else None)
-
-    def seq() -> int:
-        return allocator.seq if allocator is not None else 0
-
     while True:
         message = inbox.get()
         if message is None:
@@ -168,19 +149,20 @@ def _worker_main(worker_id: int, incarnation: int, inbox, conn,
         try:
             if action is not None:
                 action.apply_before()
-            value = fn(payload)
-            wire = encode_result(value, allocator)
+            # Pickled here, inside the try: an unpicklable result is the
+            # task's error, not a crash in ``conn.send``.
+            body = pickle.dumps(fn(payload), protocol=pickle.HIGHEST_PROTOCOL)
             if action is not None:
-                action.apply_after(wire)
+                action.apply_after()
         except TransientTaskError:
             conn.send((task_id, "transient", time.perf_counter() - start,
-                       seq(), traceback.format_exc()))
-            continue
-        except BaseException:
-            conn.send((task_id, "err", time.perf_counter() - start, seq(),
                        traceback.format_exc()))
             continue
-        conn.send((task_id, "ok", time.perf_counter() - start, seq(), wire))
+        except BaseException:
+            conn.send((task_id, "err", time.perf_counter() - start,
+                       traceback.format_exc()))
+            continue
+        conn.send((task_id, "ok", time.perf_counter() - start, body))
     conn.close()
 
 
@@ -214,27 +196,24 @@ class WorkerPool:
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) receives
     per-worker ``pool.*`` telemetry: task counts, busy seconds,
-    utilization, steal counts, crash/hang/retry/fallback counters and
-    the shared-memory sweep tally.
+    utilization, steal counts and crash/hang/retry/fallback counters.
 
     ``chaos`` arms a chaos plan (see :mod:`repro.chaos`) that workers
     consult per task attempt; ``max_task_retries``, ``retry_base`` and
     ``retry_cap`` bound the transient-retry backoff loop.
     """
 
-    def __init__(self, jobs: int, metrics=None, use_shm: Optional[bool] = None,
+    def __init__(self, jobs: int, metrics=None,
                  max_worker_attempts: int = 2, chaos=None,
                  max_task_retries: int = 3, retry_base: float = 0.05,
                  retry_cap: float = 2.0) -> None:
         self.requested = max(1, jobs)
         self._metrics = metrics
-        self._use_shm = shm_available() if use_shm is None else use_shm
         self.max_worker_attempts = max(1, max_worker_attempts)
         self.max_task_retries = max(0, max_task_retries)
         self.retry_base = retry_base
         self.retry_cap = retry_cap
         self._chaos = chaos
-        self._uid = os.urandom(4).hex()
         self._ctx = None
         if self.requested > 1:
             try:
@@ -244,7 +223,6 @@ class WorkerPool:
         #: Worker count actually in effect (1 = serial in-process).
         self.jobs = self.requested if self._ctx is not None else 1
         self._workers: list[_Worker] = []
-        self._acked_seq: dict[tuple[int, int], int] = {}
         self._closed = False
         #: Reentrancy guard for :meth:`close` (a signal handler that
         #: interrupts a close in progress must return, not escalate).
@@ -259,7 +237,6 @@ class WorkerPool:
         self.retries = 0
         self.workers_reaped = 0
         self.workers_killed = 0
-        self.segments_swept = 0
         #: Pool-level forensics: one report per crash/reap/retry/
         #: fallback, capped at INCIDENT_CAP (counters stay exact).
         self.incidents: list[IncidentReport] = []
@@ -314,15 +291,13 @@ class WorkerPool:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, incarnation, inbox, send_conn,
-                  self._uid, self._use_shm, self._chaos),
+            args=(inbox, send_conn, self._chaos),
             daemon=True,
         )
         process.start()
         # The worker owns the only write end now: when it dies, the
         # driver sees EOF instead of waiting for a liveness poll.
         send_conn.close()
-        self._acked_seq.setdefault((worker_id, incarnation), 0)
         return _Worker(worker_id, process, inbox, recv_conn, incarnation)
 
     def _respawn(self, worker_id: int) -> None:
@@ -339,8 +314,7 @@ class WorkerPool:
 
         ``terminate()`` first; a worker that ignores SIGTERM (stuck in
         uninterruptible state, masked signals) is escalated to
-        ``kill()``.  Fully sent results are drained and their segments
-        released before the pipe is replaced.
+        ``kill()``.  Anything still on its pipe is dropped with it.
         """
         worker = self._workers[worker_id]
         worker.process.terminate()
@@ -350,13 +324,10 @@ class WorkerPool:
             worker.process.join(JOIN_TIMEOUT)
             self.workers_killed += 1
         self.workers_reaped += 1
-        for message in self._drain(worker):
-            if message[1] == "ok":
-                release_result(message[4])
         self._respawn(worker_id)
 
     def close(self) -> None:
-        """Shut workers down and sweep leaked shared-memory segments.
+        """Shut the workers down.
 
         Shutdown escalates: cooperative sentinel, then ``terminate()``,
         then ``kill()`` for a worker that still lingers past
@@ -412,23 +383,14 @@ class WorkerPool:
                     f"shutdown; escalated to kill()",
                     worker=worker.worker_id, incarnation=worker.incarnation)
         for worker in self._workers:
-            for message in self._drain(worker):
-                if message[1] == "ok":
-                    release_result(message[4])
             try:
                 worker.conn.close()
             except OSError:
                 pass
-        for (worker_id, incarnation), acked in sorted(self._acked_seq.items()):
-            self.segments_swept += sweep_worker_segments(
-                self._uid, worker_id, incarnation, acked)
-        if self._metrics is not None:
-            if self.segments_swept:
-                self._metrics.counter("pool.shm_swept").inc(
-                    self.segments_swept)
-            if self.workers_killed > killed_before:
-                self._metrics.counter("pool.workers_killed").inc(
-                    self.workers_killed - killed_before)
+        if (self._metrics is not None
+                and self.workers_killed > killed_before):
+            self._metrics.counter("pool.workers_killed").inc(
+                self.workers_killed - killed_before)
         self._workers = []
 
     def _drain(self, worker: _Worker) -> list[tuple]:
@@ -441,8 +403,6 @@ class WorkerPool:
                 message = worker.conn.recv()
             except (EOFError, OSError):
                 return messages
-            self._acked_seq[(worker.worker_id, worker.incarnation)] = \
-                message[3]
             messages.append(message)
 
     # ------------------------------------------------------------------
@@ -553,7 +513,6 @@ class WorkerPool:
             progressed = False
             for conn in ready:
                 worker_id = conns[conn]
-                worker = self._workers[worker_id]
                 try:
                     if not conn.poll(0):
                         continue
@@ -562,7 +521,6 @@ class WorkerPool:
                     # Writer died: handled by the crash pass below.
                     continue
                 progressed = True
-                self._acked_seq[(worker_id, worker.incarnation)] = message[3]
                 state.deliver(worker_id, message)
             state.release_due_retries()
             # Deadlines are checked every iteration: a hung worker must
@@ -665,7 +623,7 @@ class WorkerPool:
                 self._fallback(state, worker_id, flight)
 
     def _transient(self, state: "_RunState", worker_id: int, flight: _Flight,
-                   detail: str, kind: str = "task-transient") -> None:
+                   detail: str) -> None:
         """Route a transient failure: backoff retry, then fallback."""
         if state.in_flight.get(worker_id) is flight:
             del state.in_flight[worker_id]
@@ -678,7 +636,7 @@ class WorkerPool:
                 state.retry_counts.get(worker_id, 0) + 1
             delay = self._backoff_delay(flight)
             self._incident(
-                kind,
+                "task-transient",
                 f"task {flight.task.id!r} failed transiently on worker "
                 f"{worker_id} ({_first_line(detail)}); retry "
                 f"{flight.retries}/{self.max_task_retries} in {delay:.3f}s",
@@ -688,7 +646,7 @@ class WorkerPool:
             state.delayed[worker_id] = (time.monotonic() + delay, flight)
             return
         self._incident(
-            kind,
+            "task-transient",
             f"task {flight.task.id!r} exhausted {self.max_task_retries} "
             f"transient retries ({_first_line(detail)}); running in the "
             f"driver",
@@ -850,14 +808,11 @@ class _RunState:
 
     def deliver(self, worker_id: int, message: tuple) -> None:
         """Process one pipe message from ``worker_id``."""
-        task_id, status, duration, _seq, body = message
+        task_id, status, duration, body = message
         flight = self.in_flight.get(worker_id)
         if flight is None or flight.task.id != task_id:
             # A message for a task this run no longer tracks (e.g. it
-            # already completed via the driver fallback): discard, but
-            # never leak its segments.
-            if status == "ok":
-                release_result(body)
+            # already completed via the driver fallback): discard.
             return
         if status == "transient":
             self.pool._transient(self, worker_id, flight, body)
@@ -867,19 +822,16 @@ class _RunState:
             self.fail(task_id, body)
         else:
             try:
-                value = decode_result(body)
+                value = pickle.loads(body)
             except Exception:
-                # Undecodable result (e.g. a corrupted shared-memory
-                # segment): release whatever the failed decode left
-                # linked, then retry -- the worker itself is healthy.
-                release_result(body)
-                self.pool._transient(self, worker_id, flight,
-                                     traceback.format_exc(),
-                                     kind="result-decode")
-                return
-            self.complete(TaskResult(flight.task, value, worker_id, duration,
-                                     flight.attempts, stolen=flight.stolen,
-                                     retries=flight.retries,
-                                     timed_out=flight.timed_out))
+                # Pickles but does not unpickle (an exception class
+                # whose constructor wants more than its ``args``, say):
+                # as deterministic as any other task error.
+                self.fail(task_id, traceback.format_exc())
+            else:
+                self.complete(TaskResult(
+                    flight.task, value, worker_id, duration, flight.attempts,
+                    stolen=flight.stolen, retries=flight.retries,
+                    timed_out=flight.timed_out))
         if self.error is None:
             self.dispatch(worker_id)

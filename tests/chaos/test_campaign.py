@@ -1,14 +1,13 @@
-"""The chaos_smoke acceptance campaign (ISSUE 8's differential gate).
+"""The chaos_smoke acceptance campaign: the differential gate.
 
 For any chaos schedule in which every task eventually succeeds, the
 bench report must be *bit-identical* to the clean run's, apart from
 degradation/retry accounting -- the injected faults may change how the
 sweep ran, never what it computed.  The campaign runs randomized
-seeded schedules (kill/hang/slow/flaky/shm-corrupt/cache-corrupt all
-in the band mix) against real sweeps and diffs the functional points;
-a second half proves the resume path: a sweep killed mid-flight
-(SIGKILL, torn journal tail included) resumes to the same report while
-recomputing only the missing points.
+seeded schedules (kill/hang/slow/flaky/cache-corrupt all in the band
+mix) against real sweeps and diffs the functional points; a second
+half proves that a sweep killed mid-flight (SIGKILL) resumes by being
+re-run: the artifact store serves every point it finished.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ import time
 import pytest
 
 from repro.chaos import ChaosPlan
-from repro.harness.bench import run_bench, sweep_points
+from repro.harness.bench import run_bench
+from repro.incr.gc import entry_files
 
 pytestmark = pytest.mark.chaos_smoke
 
@@ -42,6 +42,17 @@ def _bench(out_dir, **kwargs) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     return run_bench(FIGURE, scale=SCALE, jobs=2, out_dir=str(out_dir),
                      compare=False, **kwargs)
+
+
+def _scribbled(store_dir) -> list[str]:
+    """Store entries holding what ``cache-corrupt`` writes."""
+    out = []
+    for rel, path in entry_files(str(store_dir)):
+        if rel.endswith(".pkl"):
+            with open(path, "rb") as fh:
+                if fh.read() == b"\xffchaos-garbage\xff":
+                    out.append(rel)
+    return sorted(out)
 
 
 class TestDifferentialCampaign:
@@ -85,51 +96,41 @@ class TestDifferentialCampaign:
         if report["fabric"]["timeouts"] == 0:
             assert report["timed_out_tasks"] == []
 
+    def test_cache_corrupt_reaches_the_store(self, tmp_path):
+        """Every task's first dispatch scribbles over one store entry
+        (under ``shard-<i>/``).  The sweep and a plain re-run both
+        reproduce the clean points; the re-run evicts what the sweep
+        left scribbled and counts it."""
+        baseline = _functional(_bench(tmp_path / "clean"))
+        out = tmp_path / "chaos"
+        store_dir = out / ".bench-cache"
+        plan = ChaosPlan.random(
+            1, rates={"kill": 0.0, "hang": 0.0, "slow": 0.0, "flaky": 0.0,
+                      "cache-corrupt": 1.0},
+            cache_dir=str(store_dir))
+        report = _bench(out, chaos=plan)
+        assert _functional(report) == baseline
+        left = _scribbled(store_dir)
+        assert len(left) + report["cache_stats"].get(
+            "corrupt_evictions", 0) >= 1
+        assert any(os.path.basename(rel).startswith("receipt-")
+                   for rel in left)
+
+        rerun = _bench(out)
+        assert _functional(rerun) == baseline
+        assert rerun["cache_stats"]["corrupt_evictions"] >= 1
+        # Every scribbled receipt was read -- evicted -- or rewritten.
+        assert not [rel for rel in _scribbled(store_dir)
+                    if os.path.basename(rel).startswith("receipt-")]
+
 
 class TestResume:
-    def test_truncated_journal_recomputes_only_missing_points(
-            self, tmp_path):
-        """Deterministic SIGKILL simulation: keep the first 5 journal
-        records plus a torn half-line (exactly what a kill mid-append
-        leaves) and resume."""
-        out = tmp_path / "sweep"
-        clean = _bench(out)
-        baseline = _functional(clean)
-        all_ids = {p["id"] for p in clean["points"]}
-
-        journal = out / f"SWEEP_{FIGURE}.jsonl"
-        lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
-        header, records = lines[0], lines[1:]
-        kept = records[:5]
-        kept_ids = {json.loads(line)["id"] for line in kept}
-        journal.write_text(header + "".join(kept) + records[5][:17],
-                           encoding="utf-8")
-
-        resumed = run_bench(FIGURE, scale=SCALE, jobs=2,
-                            out_dir=str(out), compare=False, resume=True)
-        assert _functional(resumed) == baseline
-        assert set(resumed["resume"]["reused_points"]) == kept_ids
-        assert set(resumed["resume"]["recomputed_points"]) == \
-            all_ids - kept_ids
-
-    def test_stale_fingerprint_is_invalidated_not_reused(self, tmp_path):
-        out = tmp_path / "sweep"
-        _bench(out)
-        # Same point ids, different scale: every journal entry's input
-        # fingerprint is stale and must be recomputed.
-        resumed = run_bench(FIGURE, scale=SCALE + 2, jobs=2,
-                            out_dir=str(out), compare=False, resume=True)
-        assert resumed["resume"]["reused_points"] == []
-        assert len(resumed["resume"]["recomputed_points"]) == \
-            len(sweep_points(FIGURE, SCALE + 2))
-
     def test_sigkill_mid_sweep_resumes_to_the_clean_report(self, tmp_path):
         """The real thing: a bench subprocess SIGKILLed mid-sweep, then
-        resumed in-process.  Whatever subset the journal captured, the
-        resumed report must equal the clean run's."""
+        re-run in-process.  The store serves every point the killed
+        sweep journaled, and the re-run equals the clean run."""
         clean = _bench(tmp_path / "clean")
         baseline = _functional(clean)
-        all_ids = {p["id"] for p in clean["points"]}
 
         out = tmp_path / "killed"
         out.mkdir()
@@ -146,8 +147,8 @@ class TestResume:
         deadline = time.monotonic() + 60.0
         try:
             # Kill as soon as a few points have been journaled (if the
-            # sweep wins the race and finishes, resume reuses all --
-            # the equality assertion below still bites).
+            # sweep wins the race and finishes, the store serves all --
+            # the assertions below still bite).
             while proc.poll() is None and time.monotonic() < deadline:
                 if journal.exists() and sum(
                         1 for line in journal.read_text(
@@ -158,27 +159,20 @@ class TestResume:
                 time.sleep(0.02)
         finally:
             proc.wait(timeout=60)
+        journaled = set()
+        for line in journal.read_text(encoding="utf-8").splitlines():
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # the kill may tear the last line
+            if record.get("kind") == "point":
+                journaled.add(record["id"])
+        assert journaled
 
-        resumed = run_bench(FIGURE, scale=SCALE, jobs=1, out_dir=str(out),
-                            compare=False, resume=True)
-        assert _functional(resumed) == baseline
-        reused = set(resumed["resume"]["reused_points"])
-        recomputed = set(resumed["resume"]["recomputed_points"])
-        assert reused | recomputed == all_ids
-        assert not reused & recomputed
-
-    def test_resume_is_reentrant(self, tmp_path):
-        # Resume of a complete journal recomputes nothing and the
-        # journal survives for the *next* resume (append, not truncate).
-        out = tmp_path / "sweep"
-        clean = _bench(out)
-        first = run_bench(FIGURE, scale=SCALE, jobs=2, out_dir=str(out),
-                          compare=False, resume=True)
-        assert first["resume"]["recomputed_points"] == []
-        second = run_bench(FIGURE, scale=SCALE, jobs=2, out_dir=str(out),
-                           compare=False, resume=True)
-        assert second["resume"]["recomputed_points"] == []
-        assert _functional(second) == _functional(clean)
+        rerun = run_bench(FIGURE, scale=SCALE, jobs=1, out_dir=str(out),
+                          compare=False)
+        assert _functional(rerun) == baseline
+        assert journaled <= set(rerun["incr"]["served_points"])
 
     def test_fresh_run_truncates_a_stale_journal(self, tmp_path):
         out = tmp_path / "sweep"
@@ -186,7 +180,7 @@ class TestResume:
         journal = out / f"SWEEP_{FIGURE}.jsonl"
         before = journal.read_text(encoding="utf-8")
         assert before.count('"kind":"point"') == 40
-        # A non-resumed sweep starts a new journal: old entries gone.
+        # Every sweep starts a new journal: old entries gone.
         _bench(out)
         after = journal.read_text(encoding="utf-8")
         assert after.count('"kind":"point"') == 40

@@ -67,8 +67,8 @@ class TestValidation:
 
 class TestDispatchApplicability:
     def test_destructive_kinds_fire_only_on_first_dispatch(self):
-        for kind in ("kill", "hang", "slow", "shm-corrupt",
-                     "cache-corrupt", "kill-after-encode"):
+        for kind in ("kill", "hang", "slow", "cache-corrupt",
+                     "kill-after-run"):
             plan = ChaosPlan.explicit({"t": ChaosAction(kind)})
             assert plan.action("t", 1) is not None
             assert plan.action("t", 2) is None

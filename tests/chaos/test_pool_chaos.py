@@ -29,16 +29,6 @@ from repro.parallel import (
 
 pytestmark = pytest.mark.chaos_smoke
 
-needs_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform")
-
-
-def _leftover_segments() -> list[str]:
-    if not os.path.isdir("/dev/shm"):
-        return []
-    return [name for name in os.listdir("/dev/shm")
-            if name.startswith("repro-")]
-
 
 def echo(payload):
     return {"pid": os.getpid(), "value": payload["x"]}
@@ -111,6 +101,32 @@ class TestKill:
         assert by_id["t1"].attempts == 2
         assert not by_id["t1"].degraded
         assert any(i.kind == "worker-crash" for i in pool.incidents)
+
+    def test_kill_after_run_is_retried_clean(self):
+        """A worker that dies after running a task, with its result
+        pickled but never sent: the rerouted task's result must be
+        byte-identical to a clean run's."""
+        with WorkerPool(2) as clean_pool:
+            expect = {r.task.id: r.value for r in clean_pool.run([
+                PoolTask(f"t{i}", big_trace_task, {"index": i})
+                for i in range(4)
+            ])}
+        plan = ChaosPlan.explicit({
+            "t0": ChaosAction("kill-after-run"),
+            "t2": ChaosAction("kill-after-run"),
+        })
+        with WorkerPool(2, chaos=plan) as pool:
+            results = pool.run([
+                PoolTask(f"t{i}", big_trace_task, {"index": i})
+                for i in range(4)
+            ])
+        assert pool.crashes == 2
+        assert pool.fallbacks == 0
+        by_id = {r.task.id: r.value for r in results}
+        for tid, value in expect.items():
+            assert by_id[tid]["index"] == value["index"]
+            assert by_id[tid]["trace"].column_bytes() == \
+                value["trace"].column_bytes()
 
 
 class TestHangAndDeadlines:
@@ -215,81 +231,24 @@ class TestTransientRetry:
         pool.close()
 
 
-class TestShmCorruption:
-    @needs_shm
-    def test_corrupted_result_segment_retries_and_matches_clean(
-            self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "64")
-        with WorkerPool(2) as clean_pool:
-            expect = [r.value for r in clean_pool.run([
-                PoolTask(f"t{i}", big_trace_task, {"index": i})
-                for i in range(3)
-            ])]
-        plan = ChaosPlan.explicit({"t1": ChaosAction("shm-corrupt")})
-        with WorkerPool(2, chaos=plan, retry_base=0.01) as pool:
-            results = pool.run([
-                PoolTask(f"t{i}", big_trace_task, {"index": i})
-                for i in range(3)
-            ])
-            by_id = {r.task.id: r for r in results}
-            assert by_id["t1"].retries == 1
-            assert not by_id["t1"].degraded
-            assert any(i.kind == "result-decode" for i in pool.incidents)
-        got = [r.value for r in results]
-        assert [g["index"] for g in got] == [e["index"] for e in expect]
-        for g, e in zip(got, expect):
-            assert g["trace"].column_bytes() == e["trace"].column_bytes()
-        assert not _leftover_segments()
-
-
-class TestShmHygieneUnderAbruptDeath:
-    @needs_shm
-    def test_kill_mid_transfer_sweeps_every_segment(self, monkeypatch):
-        """A worker that dies *after* allocating result segments but
-        before the driver ever sees the descriptor: the rerouted task's
-        result must be byte-identical and the shutdown sweep must
-        reclaim every orphaned ``/dev/shm`` entry."""
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "64")
-        with WorkerPool(2) as clean_pool:
-            expect = {r.task.id: r.value for r in clean_pool.run([
-                PoolTask(f"t{i}", big_trace_task, {"index": i})
-                for i in range(4)
-            ])}
-        plan = ChaosPlan.explicit({
-            "t0": ChaosAction("kill-after-encode"),
-            "t2": ChaosAction("kill-after-encode"),
-        })
-        pool = WorkerPool(2, chaos=plan)
-        results = pool.run([
-            PoolTask(f"t{i}", big_trace_task, {"index": i})
-            for i in range(4)
-        ])
-        assert pool.crashes == 2
-        by_id = {r.task.id: r.value for r in results}
-        for tid, value in expect.items():
-            assert by_id[tid]["index"] == value["index"]
-            assert by_id[tid]["trace"].column_bytes() == \
-                value["trace"].column_bytes()
-        pool.close()
-        assert pool.segments_swept >= 1  # the orphans were found...
-        assert not _leftover_segments()  # ...and reclaimed
-
-
 class TestCacheCorruption:
     def test_cache_corrupt_is_recovered_as_a_miss(self, tmp_path):
-        from repro.harness.cache import ExperimentCache
+        from repro.incr.store import ArtifactStore
 
-        cache = ExperimentCache(persist_dir=str(tmp_path))
-        cache.put_object("thing", "key1", {"payload": 123})
-        assert cache.get_object("thing", "key1") == {"payload": 123}
+        store = ArtifactStore(persist_dir=str(tmp_path))
+        store.put_artifact("key1", {"payload": 123})
+        store.pin("plan", [], ["key1"])
+        assert store.get_artifact("key1") == {"payload": 123}
 
+        # The store keeps entries under shard-<i>/; the pin file beside
+        # them is never the victim.
         ChaosAction("cache-corrupt", cache_dir=str(tmp_path)).apply_before()
-        fresh = ExperimentCache(persist_dir=str(tmp_path))
+        fresh = ArtifactStore(persist_dir=str(tmp_path))
         # Corrupt entry -> counted miss, not an error; recompute works.
-        assert fresh.get_object("thing", "key1") is None
+        assert fresh.get_artifact("key1") is None
         assert fresh.stats().get("corrupt_evictions", 0) == 1
-        fresh.put_object("thing", "key1", {"payload": 123})
-        assert fresh.get_object("thing", "key1") == {"payload": 123}
+        fresh.put_artifact("key1", {"payload": 123})
+        assert fresh.get_artifact("key1") == {"payload": 123}
 
 
 class TestCloseEscalation:

@@ -1,71 +1,25 @@
-"""Experiment cache: cached and fresh runs must be indistinguishable,
-and keys must track everything that changes functional behaviour."""
+"""Object cache: entries persist across instances, corrupt entries are
+counted misses, and case fingerprints track everything that changes
+functional behaviour."""
 
 import glob
 import os
+import pickle
 
 import pytest
 
-from repro.analysis.memdep import AliasModel
-from repro.harness.cache import ExperimentCache, case_digest
-from repro.harness.runner import run_experiment
-from repro.machine.config import HALF_WIDTH_MACHINE, MachineConfig
+from repro.harness.cache import ExperimentCache
+from repro.machine.fingerprint import case_fingerprint
 from repro.workloads import get_workload
 
 SCALE = 120
 
-
-def _summary(result):
-    return {
-        "base_cycles": result.base_sim.cycles,
-        "dswp_cycles": result.dswp_sim.cycles,
-        "base_ipcs": result.base_sim.ipcs(),
-        "dswp_ipcs": result.dswp_sim.ipcs(),
-        "loop_speedup": result.loop_speedup,
-        "program_speedup": result.program_speedup,
-    }
-
-
-class TestCachedVsFresh:
-    def test_sweep_results_agree_with_uncached_runs(self):
-        cache = ExperimentCache()
-        machines = (
-            MachineConfig(),
-            HALF_WIDTH_MACHINE,
-            MachineConfig().with_comm_latency(5),
-        )
-        for name in ("mcf", "wc"):
-            workload = get_workload(name)
-            case = workload.build(scale=SCALE)
-            for machine in machines:
-                cached = cache.run_experiment(workload, case=case, machine=machine)
-                fresh = run_experiment(workload, machine=machine, scale=SCALE)
-                assert _summary(cached) == _summary(fresh), (name, machine)
-        # 2 workloads x 3 machines: functional work ran once per
-        # workload, every later point hit.
-        assert cache.stats()["baselines"] == 2
-        assert cache.stats()["dswp_runs"] == 2
-        assert cache.hits > 0
-
-    def test_alias_model_is_part_of_the_key(self):
-        cache = ExperimentCache()
-        workload = get_workload("mcf")
-        case = workload.build(scale=SCALE)
-        cache.run_experiment(workload, case=case)
-        cache.run_experiment(
-            workload, case=case, alias_model=AliasModel.conservative()
-        )
-        assert cache.stats()["dswp_runs"] == 2
-
-    def test_repeated_points_hit(self):
-        cache = ExperimentCache()
-        workload = get_workload("wc")
-        case = workload.build(scale=SCALE)
-        first = cache.run_experiment(workload, case=case)
-        misses = cache.misses
-        second = cache.run_experiment(workload, case=case)
-        assert cache.misses == misses
-        assert _summary(first) == _summary(second)
+#: Two entries in the shape the store writes: a stage artefact and a
+#: receipt.
+ENTRIES = {
+    ("artifact", "a" * 64): {"trace": list(range(200)), "regs": {"r1": 3}},
+    ("receipt", "b" * 64): {"outputs": {"artifact": "a" * 64}, "meta": {}},
+}
 
 
 class TestDigest:
@@ -73,25 +27,25 @@ class TestDigest:
         a = get_workload("mcf").build(scale=SCALE)
         b = get_workload("mcf").build(scale=SCALE)
         assert a is not b
-        assert case_digest(a) == case_digest(b)
+        assert case_fingerprint(a) == case_fingerprint(b)
 
     def test_scale_changes_the_digest(self):
         a = get_workload("mcf").build(scale=SCALE)
         b = get_workload("mcf").build(scale=SCALE + 1)
-        assert case_digest(a) != case_digest(b)
+        assert case_fingerprint(a) != case_fingerprint(b)
 
     def test_memory_contents_change_the_digest(self):
         a = get_workload("wc").build(scale=SCALE)
         b = get_workload("wc").build(scale=SCALE)
         b.memory.write(0x9999, 123)
-        assert case_digest(a) != case_digest(b)
+        assert case_fingerprint(a) != case_fingerprint(b)
 
     def test_initial_regs_change_the_digest(self):
         a = get_workload("wc").build(scale=SCALE)
         b = get_workload("wc").build(scale=SCALE)
         reg = next(iter(b.initial_regs))
         b.initial_regs[reg] += 1
-        assert case_digest(a) != case_digest(b)
+        assert case_fingerprint(a) != case_fingerprint(b)
 
 
 class TestPersistence:
@@ -99,10 +53,11 @@ class TestPersistence:
     entries are misses (logged, evicted, counted) -- never errors."""
 
     def _fill(self, directory, log=None):
+        """Load-or-store every entry, the way the artifact store does."""
         cache = ExperimentCache(persist_dir=directory, log=log)
-        case = get_workload("wc").build(scale=40)
-        cache.baseline(case)
-        cache.dswp(case)
+        for (kind, key), value in ENTRIES.items():
+            if cache.get_object(kind, key) is None:
+                cache.put_object(kind, key, value)
         return cache
 
     def test_entries_survive_across_instances(self, tmp_path):
@@ -110,12 +65,9 @@ class TestPersistence:
         first = self._fill(d)
         assert first.stats()["misses"] == 2
         fresh = ExperimentCache(persist_dir=d)
-        case = get_workload("wc").build(scale=40)
-        run = fresh.baseline(case)
-        fresh.dswp(case)
+        for (kind, key), value in ENTRIES.items():
+            assert fresh.get_object(kind, key) == value
         assert fresh.stats() == {**fresh.stats(), "hits": 2, "misses": 0}
-        # The fallback state round-trips too.
-        assert run.regs and run.memory is not None
 
     @pytest.mark.robustness_smoke
     @pytest.mark.parametrize("corruption", ["truncate", "garbage", "empty"])
@@ -145,18 +97,19 @@ class TestPersistence:
     def test_wrong_shape_payload_is_evicted(self, tmp_path):
         d = str(tmp_path)
         self._fill(d)
-        import pickle
-
-        for path in glob.glob(os.path.join(d, "baseline-*.pkl")):
+        for path in glob.glob(os.path.join(d, "artifact-*.pkl")):
             with open(path, "wb") as fh:
                 pickle.dump(["unexpected", "shape"], fh)
         cache = self._fill(d)
         assert cache.stats()["corrupt_evictions"] == 1
 
-    def test_without_persist_dir_nothing_is_written(self, tmp_path):
+    def test_without_persist_dir_nothing_is_written(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cache = ExperimentCache()
-        case = get_workload("wc").build(scale=40)
-        cache.baseline(case)
+        for (kind, key), value in ENTRIES.items():
+            cache.put_object(kind, key, value)
+            assert cache.get_object(kind, key) == value
         assert glob.glob(os.path.join(str(tmp_path), "*")) == []
         assert cache.stats()["corrupt_evictions"] == 0
 

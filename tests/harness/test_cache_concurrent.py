@@ -1,10 +1,11 @@
 """Disk-cache safety under concurrent writers.
 
-Bench workers share one ``persist_dir``; several processes can decide
-to compute and store the same entry at the same time.  The contract:
-no reader ever crashes or sees a half-written entry (a mid-write file
-reads as a miss at worst), and the last atomic rename wins with a
-valid payload.
+Bench workers share one store directory; several processes can decide
+to compute and store the same entry at the same time.  The contract,
+at the object layer (``get_object`` / ``put_object``) the artifact
+store sits on: no reader ever crashes or sees a half-written entry (a
+mid-write file reads as a miss at worst), and the last atomic rename
+wins with a valid payload.
 """
 
 from __future__ import annotations
@@ -15,23 +16,36 @@ import pickle
 
 import pytest
 
-from repro.harness.cache import ExperimentCache, case_digest
+from repro.harness.cache import ExperimentCache
+from repro.harness.runner import run_baseline
+from repro.machine.fingerprint import case_fingerprint
 from repro.workloads import get_workload
 
 pytestmark = pytest.mark.parallel_smoke
 
+KIND = "artifact"
+
+
+def _load_or_run(cache: ExperimentCache, case) -> dict:
+    """The store's run-or-reuse shape over one baseline interpretation."""
+    key = case_fingerprint(case)
+    data = cache.get_object(KIND, key)
+    if data is None:
+        run = run_baseline(case)
+        data = {"trace": run.trace, "regs": run.regs}
+        cache.put_object(KIND, key, data)
+    return data
+
 
 def _hammer(persist_dir: str, worker: int, rounds: int, out_queue) -> None:
-    """Worker body: repeatedly load-or-compute the same entries."""
+    """Worker body: repeatedly load-or-compute the same entry."""
     try:
         case = get_workload("wc").build(scale=30)
         for _ in range(rounds):
             cache = ExperimentCache(persist_dir=persist_dir)
-            baseline = cache.baseline(case)
-            dswp = cache.dswp(case, baseline)
+            data = _load_or_run(cache, case)
             out_queue.put((worker, "ok",
-                           (len(baseline.trace),
-                            [len(t) for t in dswp.traces],
+                           (len(data["trace"]), sorted(data["regs"].items()),
                             cache.corrupt_evictions)))
     except BaseException as exc:  # noqa: BLE001 - reported to the driver
         out_queue.put((worker, "err", repr(exc)))
@@ -55,8 +69,8 @@ class TestConcurrentWriters:
         errors = [o for o in outcomes if o[1] == "err"]
         assert not errors, errors
         # Every load-or-compute converged on the same functional answer.
-        answers = {(trace_len, tuple(lens))
-                   for trace_len, lens, _ in (o[2] for o in outcomes)}
+        answers = {(trace_len, tuple(regs))
+                   for trace_len, regs, _ in (o[2] for o in outcomes)}
         assert len(answers) == 1
         # No tmp droppings left behind by the atomic-rename protocol.
         leftovers = [name for name in os.listdir(persist) if ".tmp." in name]
@@ -66,14 +80,13 @@ class TestConcurrentWriters:
         persist = str(tmp_path / "cache")
         case = get_workload("wc").build(scale=30)
         writer = ExperimentCache(persist_dir=persist)
-        writer.baseline(case)
-        key = f"{case_digest(case)}:True"
-        path = writer._entry_path("baseline", key)
+        _load_or_run(writer, case)
+        path = writer._entry_path(KIND, case_fingerprint(case))
         assert os.path.exists(path)
         os.remove(path)
         reader = ExperimentCache(persist_dir=persist)
-        run = reader.baseline(case)
-        assert len(run.trace) > 0
+        data = _load_or_run(reader, case)
+        assert len(data["trace"]) > 0
         # Vanished-before-open is a miss, never a corrupt eviction.
         assert reader.corrupt_evictions == 0
         assert reader.misses == 1
@@ -82,15 +95,14 @@ class TestConcurrentWriters:
         persist = str(tmp_path / "cache")
         case = get_workload("wc").build(scale=30)
         writer = ExperimentCache(persist_dir=persist)
-        reference = writer.baseline(case)
-        key = f"{case_digest(case)}:True"
-        path = writer._entry_path("baseline", key)
-        blob = pickle.dumps({"kind": "baseline", "data": {}})
+        reference = _load_or_run(writer, case)
+        path = writer._entry_path(KIND, case_fingerprint(case))
+        blob = pickle.dumps({"kind": KIND, "data": {}})
         with open(path, "wb") as fh:
             fh.write(blob[:max(1, len(blob) // 2)])  # mid-write shape
         reader = ExperimentCache(persist_dir=persist)
-        run = reader.baseline(case)
-        assert len(run.trace) == len(reference.trace)
+        data = _load_or_run(reader, case)
+        assert len(data["trace"]) == len(reference["trace"])
         assert reader.corrupt_evictions == 1
 
     def test_tmp_names_are_unique_per_store(self, tmp_path, monkeypatch):
@@ -104,7 +116,8 @@ class TestConcurrentWriters:
         monkeypatch.setattr(os, "replace", spy)
         cache = ExperimentCache(persist_dir=str(tmp_path / "cache"))
         case = get_workload("wc").build(scale=30)
-        baseline = cache.baseline(case)
-        cache.dswp(case, baseline)
-        assert len(seen) >= 2
+        _load_or_run(cache, case)
+        cache.put_object(KIND, "other", {"payload": 1})
+        cache.put_object(KIND, "other", {"payload": 2})
+        assert len(seen) >= 3
         assert len(set(seen)) == len(seen)

@@ -33,7 +33,7 @@ SCALE = 200
 VOLATILE = frozenset({
     "optimized_seconds", "optimized_stage_seconds", "naive_seconds",
     "naive_stage_seconds", "point_seconds", "speedup", "stage_speedups",
-    "metrics", "provenance", "cost_model", "incr", "resume", "fabric",
+    "metrics", "provenance", "cost_model", "incr", "fabric",
     "fabric_incidents", "num_tasks", "jobs", "cache_stats", "verification",
 })
 

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
+from repro.interp.trace import ColumnarTrace, TraceEntry
+from repro.ir.instruction import Instruction, Opcode
+from repro.ir.types import gen_reg, pred_reg
 from repro.obs.metrics import MetricsRegistry, parse_metric_key
 from repro.parallel import PoolTask, TaskFailed, WorkerPool, worker_arena
 
@@ -45,6 +49,40 @@ def crash_always(payload):
     if multiprocessing.parent_process() is not None:
         os._exit(13)
     return {"value": payload["x"], "pid": os.getpid()}
+
+
+def unpicklable(payload):
+    return {"lock": threading.Lock()}
+
+
+def unpickles_badly(payload):
+    # Pickles fine; on load its constructor gets only ``args`` and
+    # misses ``detail``.
+    return TaskFailed("inner", "detail")
+
+
+def echo_trace(payload):
+    return {"trace": payload["trace"]}
+
+
+def make_trace(entries: int = 2000) -> ColumnarTrace:
+    r0, r1 = gen_reg(0), gen_reg(1)
+    add = Instruction(Opcode.ADD, dest=r0, srcs=[r0, r1])
+    load = Instruction(Opcode.LOAD, dest=r1, srcs=[r0], region="arr")
+    br = Instruction(Opcode.BR, srcs=[pred_reg(0)], targets=["a", "b"])
+    trace = ColumnarTrace()
+    for i in range(entries):
+        trace.append_entry(TraceEntry(add, block="body"))
+        trace.append_entry(TraceEntry(load, addr=1000 + i, block="body"))
+        trace.append_entry(TraceEntry(br, taken=i % 3 == 0, block="body"))
+    # An address outside int64 lives in the overflow side table.
+    trace.append_entry(TraceEntry(load, addr=1 << 70, block="body"))
+    return trace
+
+
+def _statics(trace: ColumnarTrace) -> list[tuple]:
+    return [(s.sid, s.block, s.root_uid, s.inst.render())
+            for s in trace.statics]
 
 
 def _tasks(n):
@@ -162,6 +200,40 @@ class TestFailures:
         with WorkerPool(2) as pool:
             results = pool.run(_tasks(20), cancel=cancel)
         assert 3 <= len(results) < 20
+
+
+class TestTransport:
+    """Results travel pickled over each worker's own pipe."""
+
+    def test_unpicklable_result_raises_task_failed(self):
+        with WorkerPool(2) as pool:
+            with pytest.raises(TaskFailed, match="pickle"):
+                pool.run([PoolTask("t", unpicklable, {})])
+            # A task error, not a worker crash or a driver fallback.
+            assert pool.crashes == 0
+            assert pool.fallbacks == 0
+
+    def test_result_that_fails_to_unpickle_raises_task_failed(self):
+        with WorkerPool(2) as pool:
+            with pytest.raises(TaskFailed, match="detail"):
+                pool.run([PoolTask("t", unpickles_badly, {})])
+            assert pool.fallbacks == 0
+            # The pool survives a failed run.
+            ok = pool.run([PoolTask("t2", square, {"x": 3})])
+        assert ok[0].value["value"] == 9
+
+    def test_columnar_trace_round_trips_through_the_pipe(self):
+        trace = make_trace()
+        with WorkerPool(2) as pool:
+            results = pool.run([PoolTask(f"t{i}", echo_trace,
+                                         {"trace": trace})
+                                for i in range(2)])
+        assert {r.worker for r in results} <= {0, 1}
+        for result in results:
+            got = result.value["trace"]
+            assert got.column_bytes() == trace.column_bytes()
+            assert _statics(got) == _statics(trace)
+            assert got.addr_at(len(got) - 1) == 1 << 70
 
 
 class TestTelemetry:
