@@ -21,7 +21,9 @@ fuzz-smoke:
 
 # Differential guardrails for the performance layer: predecoded
 # interpreter, columnar traces and event-driven timing model vs the
-# preserved reference implementations (docs/PERFORMANCE.md).
+# preserved reference implementations, and the dependence-graph builder
+# vs the reference PDG builder in tests/analysis/reference_pdg.py
+# (docs/PERFORMANCE.md).
 perf-smoke:
 	$(PYTHON) -m pytest -q -m perf_smoke
 

@@ -33,9 +33,7 @@ def test_workload_characterization(benchmark, suite, full_machine):
             scc_sizes = {i: len(m) for i, m in enumerate(probe.dag.sccs)}
             weights = {
                 i: sum(
-                    baseline.profile.instruction_weight(
-                        suite.case(name).function, inst
-                    )
+                    baseline.profile.instruction_weight(inst)
                     for inst in members
                 )
                 for i, members in enumerate(probe.dag.sccs)

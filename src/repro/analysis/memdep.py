@@ -23,6 +23,7 @@ unless marked ``attrs["pure"] = True``.
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 from repro.ir.instruction import Instruction
 
@@ -49,6 +50,18 @@ class AliasModel:
         return cls(AliasMode.REGIONS)
 
     # ------------------------------------------------------------------
+    def bucket(self, inst: Instruction) -> Optional[str]:
+        """The alias bucket of a memory operation or call.
+
+        Two operations in different non-``None`` buckets never alias.
+        Calls, untagged operations and every operation under
+        ``CONSERVATIVE`` are in the ``None`` bucket, which may alias
+        anything.
+        """
+        if inst.is_call or self.mode is AliasMode.CONSERVATIVE:
+            return None
+        return inst.region
+
     def _touches_memory(self, inst: Instruction) -> bool:
         if inst.is_memory:
             return True
@@ -95,13 +108,15 @@ class AliasModel:
         return bool(a.attrs.get("affine")) and bool(b.attrs.get("affine"))
 
 
+def writes_memory(inst: Instruction) -> bool:
+    """Does ``inst`` write memory (a store or an impure call)?"""
+    return inst.is_store or (inst.is_call and not inst.attrs.get("pure", False))
+
+
 def needs_ordering(a: Instruction, b: Instruction) -> bool:
     """Do ``a`` then ``b`` need an ordering dependence if they alias?
 
     Load/load pairs never do; any pair involving a store or an impure
     call does.
     """
-    def writes(inst: Instruction) -> bool:
-        return inst.is_store or (inst.is_call and not inst.attrs.get("pure", False))
-
-    return writes(a) or writes(b)
+    return writes_memory(a) or writes_memory(b)

@@ -23,6 +23,13 @@ a loop-carried flag:
 The graph also records the loop boundary: which uses read loop live-in
 values and which definitions produce each live-out register, feeding
 the initial/final flow insertion of Section 2.2.4.
+
+The arc list is deterministic: every set of definitions or branches is
+visited in uid order (the ``EXTERNAL`` pre-loop site first), never in
+the memory-address order of a set of instructions.  The splitter hands
+out queue ids in arc order, so this keeps every pipeline reproducible.
+``tests/analysis/reference_pdg.py`` keeps the straightforward builder
+this one must match arc for arc.
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ import enum
 from typing import Optional
 
 from repro.analysis.controldep import loop_iteration_control_deps_detailed
-from repro.analysis.liveness import compute_liveness, loop_live_ins, loop_live_outs
-from repro.analysis.memdep import AliasModel, needs_ordering
+from repro.analysis.liveness import compute_liveness, loop_live_outs
+from repro.analysis.memdep import AliasModel, writes_memory
 from repro.analysis.scc import DagScc, condense
+from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instruction import Instruction
 from repro.ir.loops import Loop
@@ -41,6 +49,9 @@ from repro.ir.types import Opcode, Register
 
 #: Pseudo definition site meaning "defined before the loop".
 EXTERNAL = "<external>"
+
+#: Shared controller set of an instruction no branch controls.
+_NO_CONTROLLERS: frozenset = frozenset()
 
 
 class DepKind(enum.Enum):
@@ -112,15 +123,6 @@ class DependenceGraph:
             self._succ_cache = succ
         return self._succ_cache
 
-    def arcs_between(self, src: Instruction, dst: Instruction) -> list[DepArc]:
-        return [a for a in self.arcs if a.src is src and a.dst is dst]
-
-    def arcs_from(self, src: Instruction) -> list[DepArc]:
-        return [a for a in self.arcs if a.src is src]
-
-    def arcs_to(self, dst: Instruction) -> list[DepArc]:
-        return [a for a in self.arcs if a.dst is dst]
-
     def dag_scc(self) -> DagScc:
         """Condense into the DAG_SCC (Fig. 3 lines 2-4)."""
         return condense(self.nodes, self.successors())
@@ -141,14 +143,16 @@ def build_dependence_graph(
     """Build the full dependence graph for ``loop`` (Fig. 3 line 1)."""
     alias_model = alias_model or AliasModel()
     graph = DependenceGraph(function, loop)
+    blocks = loop.blocks()
     graph.nodes = [
         inst
-        for inst in loop.instructions()
+        for block in blocks
+        for inst in block
         if inst.opcode not in (Opcode.JMP, Opcode.NOP)
     ]
-    _add_register_data_deps(graph)
+    _add_register_data_deps(graph, blocks)
     _add_control_deps(graph)
-    _add_memory_deps(graph, alias_model)
+    _add_memory_deps(graph, blocks, alias_model)
     _add_conditional_control_deps(graph)
     _add_live_out_output_deps(graph)
     return graph
@@ -158,9 +162,11 @@ def build_dependence_graph(
 # Register data dependences (reaching definitions inside the loop)
 # ----------------------------------------------------------------------
 
-def _loop_block_preds(loop: Loop, include_back_edges: bool) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {b.label: [] for b in loop.blocks()}
-    for block in loop.blocks():
+def _loop_block_preds(
+    loop: Loop, blocks: list[BasicBlock], include_back_edges: bool
+) -> dict[str, list[str]]:
+    preds: dict[str, list[str]] = {b.label: [] for b in blocks}
+    for block in blocks:
         for succ in block.successor_labels():
             if succ not in loop.body:
                 continue
@@ -170,113 +176,142 @@ def _loop_block_preds(loop: Loop, include_back_edges: bool) -> dict[str, list[st
     return preds
 
 
-def _reaching_defs(
-    loop: Loop, include_back_edges: bool
-) -> dict[str, dict[Register, set]]:
-    """Per-block IN sets: register -> set of defining instructions
-    (or the EXTERNAL marker).  The header's IN always contains EXTERNAL
-    for every register, standing for pre-loop definitions.
+class _Definitions:
+    """The loop's register definitions, one bit each.
+
+    Bits ``0 .. R-1`` are the EXTERNAL sites of the ``R`` registers the
+    loop defines, one per register; the definitions follow in uid order.
+    A set of reaching definitions is an int, and visiting its bits from
+    low to high yields EXTERNAL first, then definitions by uid.
     """
-    blocks = loop.blocks()
-    preds = _loop_block_preds(loop, include_back_edges)
 
-    gen: dict[str, dict[Register, Instruction]] = {}
-    kill: dict[str, set[Register]] = {}
-    for block in blocks:
-        last_def: dict[Register, Instruction] = {}
-        for inst in block:
+    def __init__(self, blocks: list[BasicBlock]) -> None:
+        defining = sorted(
+            (inst for block in blocks for inst in block
+             if inst.defined_registers()),
+            key=lambda inst: inst.uid,
+        )
+        #: register -> its EXTERNAL bit.
+        self.external: dict[Register, int] = {}
+        for inst in defining:
             for reg in inst.defined_registers():
-                last_def[reg] = inst
-        gen[block.label] = last_def
-        kill[block.label] = set(last_def)
-
-    ins: dict[str, dict[Register, set]] = {b.label: {} for b in blocks}
-    outs: dict[str, dict[Register, set]] = {b.label: {} for b in blocks}
-
-    def transfer(label: str, in_map: dict[Register, set]) -> dict[Register, set]:
-        out: dict[Register, set] = {
-            reg: set(sites) for reg, sites in in_map.items() if reg not in kill[label]
+                if reg not in self.external:
+                    self.external[reg] = 1 << len(self.external)
+        #: register -> its EXTERNAL bit and every definition bit.
+        self.mask = dict(self.external)
+        #: register -> (bit, defining instruction), in uid order.
+        self.sites: dict[Register, list[tuple[int, Instruction]]] = {
+            reg: [] for reg in self.external
         }
-        for reg, inst in gen[label].items():
-            out[reg] = {inst}
-        return out
+        #: instruction -> (register, bit) of each register it defines.
+        self.bits_of: dict[Instruction, list[tuple[Register, int]]] = {}
+        bit = 1 << len(self.external)
+        for inst in defining:
+            pairs = []
+            for reg in inst.defined_registers():
+                pairs.append((reg, bit))
+                self.sites[reg].append((bit, inst))
+                self.mask[reg] |= bit
+                bit <<= 1
+            self.bits_of[inst] = pairs
 
-    changed = True
-    while changed:
-        changed = False
+    def reaching(
+        self, loop: Loop, blocks: list[BasicBlock], include_back_edges: bool
+    ) -> tuple[dict[str, int], dict[str, int]]:
+        """Per-block IN and OUT sets of reaching definitions.
+
+        ``out = (in & ~kill) | gen``.  The header's IN also holds a
+        register's EXTERNAL bit exactly when some definition of that
+        register reaches it: the pre-loop value flows in beside them.
+        Registers no loop definition reaches read EXTERNAL by default
+        at their use sites.
+        """
+        preds = _loop_block_preds(loop, blocks, include_back_edges)
+        gen: dict[str, int] = {}
+        kill: dict[str, int] = {}
         for block in blocks:
-            label = block.label
-            new_in: dict[Register, set] = {}
-            for pred in preds[label]:
-                for reg, sites in outs[pred].items():
-                    new_in.setdefault(reg, set()).update(sites)
-            if label == loop.header:
-                # The pre-loop definition also reaches the header for
-                # every register (entry edge from outside the loop).
-                # Registers never redefined in the loop are handled by
-                # the EXTERNAL default at use sites.
-                for reg in new_in:
-                    new_in[reg].add(EXTERNAL)
-            if new_in != ins[label]:
-                ins[label] = new_in
-                outs[label] = transfer(label, new_in)
-                changed = True
-            else:
-                new_out = transfer(label, new_in)
-                if new_out != outs[label]:
+            last: dict[Register, int] = {}
+            for inst in block:
+                for reg, bit in self.bits_of.get(inst, ()):
+                    last[reg] = bit
+            gen[block.label] = sum(last.values())
+            kill[block.label] = 0
+            for reg in last:
+                kill[block.label] |= self.mask[reg]
+        externals = [
+            (self.mask[reg] ^ ext, ext) for reg, ext in self.external.items()
+        ]
+        ins = dict.fromkeys(gen, 0)
+        outs = dict.fromkeys(gen, 0)
+        changed = True
+        while changed:
+            changed = False
+            for label in gen:
+                new_in = 0
+                for pred in preds[label]:
+                    new_in |= outs[pred]
+                if label == loop.header:
+                    for defs, ext in externals:
+                        if new_in & defs:
+                            new_in |= ext
+                new_out = (new_in & ~kill[label]) | gen[label]
+                if new_in != ins[label] or new_out != outs[label]:
+                    ins[label] = new_in
                     outs[label] = new_out
                     changed = True
-    return {"in": ins, "out": outs}  # type: ignore[return-value]
+        return ins, outs
 
 
-def _add_register_data_deps(graph: DependenceGraph) -> None:
+def _add_register_data_deps(
+    graph: DependenceGraph, blocks: list[BasicBlock]
+) -> None:
     loop = graph.loop
-    acyclic = _reaching_defs(loop, include_back_edges=False)
-    full = _reaching_defs(loop, include_back_edges=True)
+    defs = _Definitions(blocks)
+    acyclic_in, _ = defs.reaching(loop, blocks, include_back_edges=False)
+    full_in, full_out = defs.reaching(loop, blocks, include_back_edges=True)
 
-    node_set = set(graph.nodes)
+    arcs = graph.arcs
+    data = DepKind.DATA
     seen_live_in: set[tuple[Register, int]] = set()
-
-    for block in loop.blocks():
-        reach_acyclic = {r: set(s) for r, s in acyclic["in"][block.label].items()}
-        reach_full = {r: set(s) for r, s in full["in"][block.label].items()}
+    for block in blocks:
+        reach_acyclic = acyclic_in[block.label]
+        reach_full = full_in[block.label]
         for inst in block:
             for reg in inst.used_registers():
-                intra_defs = reach_acyclic.get(reg, {EXTERNAL})
-                all_defs = reach_full.get(reg, {EXTERNAL})
-                for def_site in all_defs:
-                    if def_site is EXTERNAL:
-                        key = (reg, inst.uid)
-                        if key not in seen_live_in:
-                            seen_live_in.add(key)
-                            graph.live_in_uses.append((reg, inst))
-                        continue
-                    if def_site not in node_set or inst not in node_set:
-                        continue
-                    carried = def_site not in intra_defs
-                    graph.add_arc(
-                        DepArc(def_site, inst, DepKind.DATA, register=reg,
-                               loop_carried=carried)
-                    )
-            # Update local reaching state past this instruction.
-            for reg in inst.defined_registers():
-                reach_acyclic[reg] = {inst}
-                reach_full[reg] = {inst}
+                reach = reach_full & defs.mask.get(reg, 0)
+                if not reach or reach & defs.external[reg]:
+                    key = (reg, inst.uid)
+                    if key not in seen_live_in:
+                        seen_live_in.add(key)
+                        graph.live_in_uses.append((reg, inst))
+                if not reach:
+                    continue
+                for bit, site in defs.sites[reg]:
+                    if reach & bit:
+                        carried = not reach_acyclic & bit
+                        arcs.append(DepArc(site, inst, data, reg, carried))
+            # Update the local reaching state past this instruction.
+            for reg, bit in defs.bits_of.get(inst, ()):
+                keep = ~defs.mask[reg]
+                reach_acyclic = (reach_acyclic & keep) | bit
+                reach_full = (reach_full & keep) | bit
+    graph._succ_cache = None
 
     # Live-out definitions: defs reaching the loop's exit edges.
     liveness = compute_liveness(graph.function)
     live_outs = loop_live_outs(graph.function, loop, liveness)
-    out_full = full["out"]
+    exit_edges = loop.exit_edges()
     for reg in sorted(live_outs):
-        defs: list[Instruction] = []
-        for src_label, target in loop.exit_edges():
+        live_defs: list[Instruction] = []
+        for src_label, target in exit_edges:
             if reg not in liveness.live_in[target]:
                 continue
-            for def_site in out_full[src_label].get(reg, set()):
-                if def_site is not EXTERNAL and def_site not in defs:
-                    defs.append(def_site)
-        if defs:
-            graph.live_out_defs[reg] = defs
+            reach = full_out[src_label]
+            for bit, site in defs.sites.get(reg, ()):
+                if reach & bit and site not in live_defs:
+                    live_defs.append(site)
+        if live_defs:
+            graph.live_out_defs[reg] = live_defs
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +322,7 @@ def _add_control_deps(graph: DependenceGraph) -> None:
     loop = graph.loop
     deps = loop_iteration_control_deps_detailed(loop)
     node_set = set(graph.nodes)
+    arcs = graph.arcs
     for dep_label, controllers in deps.items():
         dep_block = graph.function.block(dep_label)
         for ctrl_label, carried in sorted(controllers.items()):
@@ -295,46 +331,56 @@ def _add_control_deps(graph: DependenceGraph) -> None:
                 continue
             for inst in dep_block:
                 if inst in node_set and inst is not branch:
-                    graph.add_arc(
+                    arcs.append(
                         DepArc(branch, inst, DepKind.CONTROL, loop_carried=carried)
                     )
+    graph._succ_cache = None
 
 
 def _add_conditional_control_deps(graph: DependenceGraph) -> None:
     """Fig. 5(a): if D -> U is a data/memory dependence and D is control
     dependent on branch B but U is not, U must also depend on B so the
     consuming thread knows *when* the dependence occurs.
+
+    Arcs are visited in order and each new arc joins its sink's
+    controllers at once, so a later arc out of that sink inherits it.
     """
     controllers: dict[Instruction, set[Instruction]] = {}
     for arc in graph.control_arcs():
         controllers.setdefault(arc.dst, set()).add(arc.src)
     new_arcs: list[DepArc] = []
-    for arc in list(graph.arcs):
-        if arc.kind not in (DepKind.DATA, DepKind.MEMORY):
+    for arc in graph.arcs:
+        if arc.kind is not DepKind.DATA and arc.kind is not DepKind.MEMORY:
             continue
-        src_ctrl = controllers.get(arc.src, set())
-        dst_ctrl = controllers.get(arc.dst, set())
-        for branch in src_ctrl - dst_ctrl:
-            if branch is arc.dst:
-                continue
+        src_ctrl = controllers.get(arc.src)
+        if not src_ctrl:
+            continue
+        dst = arc.dst
+        dst_ctrl = controllers.get(dst, _NO_CONTROLLERS)
+        missing = src_ctrl - dst_ctrl
+        missing.discard(dst)
+        if not missing:
+            continue
+        for branch in sorted(missing, key=lambda b: b.uid):
             new_arcs.append(
-                DepArc(branch, arc.dst, DepKind.CONTROL, conditional=True,
+                DepArc(branch, dst, DepKind.CONTROL, conditional=True,
                        loop_carried=arc.loop_carried)
             )
-            dst_ctrl = dst_ctrl | {branch}
-            controllers[arc.dst] = dst_ctrl
-    for arc in new_arcs:
-        graph.add_arc(arc)
+        controllers[dst] = missing | dst_ctrl
+    graph.arcs.extend(new_arcs)
+    graph._succ_cache = None
 
 
 # ----------------------------------------------------------------------
 # Memory dependences
 # ----------------------------------------------------------------------
 
-def _acyclic_block_reachability(loop: Loop) -> dict[str, set[str]]:
+def _acyclic_block_reachability(
+    loop: Loop, blocks: list[BasicBlock]
+) -> dict[str, set[str]]:
     """label -> labels reachable without following a back edge."""
     succs: dict[str, list[str]] = {}
-    for block in loop.blocks():
+    for block in blocks:
         succs[block.label] = [
             s for s in block.successor_labels()
             if s in loop.body and s != loop.header
@@ -352,35 +398,67 @@ def _acyclic_block_reachability(loop: Loop) -> dict[str, set[str]]:
         reach[label] = out
         return out
 
-    for block in loop.blocks():
+    for block in blocks:
         visit(block.label)
     return reach
 
 
-def _add_memory_deps(graph: DependenceGraph, alias_model: AliasModel) -> None:
-    loop = graph.loop
+def _add_memory_deps(
+    graph: DependenceGraph, blocks: list[BasicBlock], alias_model: AliasModel
+) -> None:
+    """Order every pair of memory operations that may conflict.
+
+    An operation is paired only with the operations of its own alias
+    bucket and of the ``None`` bucket (a ``None``-bucket operation with
+    every operation), and a load only with writers: no other pair can
+    alias, or needs ordering if it does.  The alias model still judges
+    each remaining pair.  Pairs are visited in ``(i, j)`` order, as an
+    all-pairs scan would, so the arcs come out in the same order.
+    """
     mem_ops: list[tuple[Instruction, str, int]] = []
-    for block in loop.blocks():
+    for block in blocks:
         for pos, inst in enumerate(block):
             if inst.is_memory or (inst.is_call and not inst.attrs.get("pure", False)):
                 mem_ops.append((inst, block.label, pos))
+    if not mem_ops:
+        return
+    buckets = [alias_model.bucket(inst) for inst, _, _ in mem_ops]
+    writes = [writes_memory(inst) for inst, _, _ in mem_ops]
+    # bucket -> (every partner, writer partners), each in index order.
+    partners: dict[Optional[str], tuple[list[int], list[int]]] = {None: ([], [])}
+    for bucket in buckets:
+        partners.setdefault(bucket, ([], []))
+    for j, (bucket, writer) in enumerate(zip(buckets, writes)):
+        for key in (partners if bucket is None else (None, bucket)):
+            every, writers = partners[key]
+            every.append(j)
+            if writer:
+                writers.append(j)
 
-    reach = _acyclic_block_reachability(loop)
+    reach = _acyclic_block_reachability(graph.loop, blocks)
+    same_iteration = alias_model.conflicts_same_iteration
+    cross_iteration = alias_model.conflicts_cross_iteration
+    arcs = graph.arcs
+    memory = DepKind.MEMORY
     for i, (u, u_block, u_pos) in enumerate(mem_ops):
-        for j, (v, v_block, v_pos) in enumerate(mem_ops):
-            if i == j or not needs_ordering(u, v):
+        every, writers = partners[buckets[i]]
+        u_reach = reach[u_block]
+        for j in every if writes[i] else writers:
+            if j == i:
                 continue
+            v, v_block, v_pos = mem_ops[j]
             # Intra-iteration arc u -> v when v can execute after u in
             # the same iteration.
-            intra = (
-                (u_block == v_block and u_pos < v_pos)
-                or (u_block != v_block and v_block in reach[u_block])
-            )
-            if intra and alias_model.conflicts_same_iteration(u, v):
-                graph.add_arc(DepArc(u, v, DepKind.MEMORY))
+            if u_block == v_block:
+                intra = u_pos < v_pos
+            else:
+                intra = v_block in u_reach
+            if intra and same_iteration(u, v):
+                arcs.append(DepArc(u, v, memory))
             # Cross-iteration arc u (iter i) -> v (iter i+k).
-            if alias_model.conflicts_cross_iteration(u, v):
-                graph.add_arc(DepArc(u, v, DepKind.MEMORY, loop_carried=True))
+            if cross_iteration(u, v):
+                arcs.append(DepArc(u, v, memory, loop_carried=True))
+    graph._succ_cache = None
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,18 @@ from repro.ir.types import Register
 
 
 class LoopProfile:
-    """Profile information about one loop."""
+    """Profile information about one loop.
+
+    A profile belongs to its loop's instructions: ``instruction_weight``
+    matches them by identity, so an instruction of another build of the
+    same code weighs 0.0, and ``dswp()`` refuses a profile of another
+    loop.
+    """
+
+    #: instruction -> weight, derived from the counts on first use.  It
+    #: is never pickled (see ``__getstate__``), so artifacts holding a
+    #: profile have the same bytes before and after it is used.
+    _weights: Optional[dict[Instruction, float]] = None
 
     def __init__(
         self,
@@ -32,15 +43,26 @@ class LoopProfile:
         self.header_trips = max(header_trips, 1)
         self.loop = loop
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_weights", None)
+        return state
+
     def block_weight(self, label: str) -> float:
         """Average executions of ``label`` per loop iteration."""
         return self.block_counts.get(label, 0) / self.header_trips
 
-    def instruction_weight(self, function: Function, inst: Instruction) -> float:
-        for block in self.loop.blocks():
-            if inst in block.instructions:
-                return self.block_weight(block.label)
-        return 0.0
+    def instruction_weight(self, inst: Instruction) -> float:
+        """Average executions of ``inst`` per loop iteration (0.0 for an
+        instruction outside the loop)."""
+        weights = self._weights
+        if weights is None:
+            weights = self._weights = {
+                member: self.block_weight(block.label)
+                for block in self.loop.blocks()
+                for member in block
+            }
+        return weights.get(inst, 0.0)
 
     @staticmethod
     def uniform(loop: Loop) -> "LoopProfile":

@@ -115,7 +115,10 @@ def dswp(
         loop: Target loop; must have a unique preheader.
         threads: Maximum pipeline stages (``t`` in Definition 1).
         alias_model: Memory analysis precision (default: region-based).
-        profile: Execution profile; uniform weights if omitted.
+        profile: Execution profile of ``loop``; uniform weights if
+            omitted.  A profile of another loop, or of the same loop in
+            another build of the function, raises ``ValueError``: its
+            instructions would all weigh 0.0.
         latency_of: Per-instruction latency estimate for the heuristic.
         partition: Use this partition instead of the TPP heuristic
             (the "manually directed" mode of Fig. 6(a)).
@@ -135,6 +138,17 @@ def dswp(
         if not loops:
             raise ValueError(f"{function.name} contains no loops")
         loop = loops[0]
+    if profile is not None:
+        if profile.loop.function is not function:
+            raise ValueError(
+                f"profile belongs to another {profile.loop.function.name} "
+                "function object; its instructions would all weigh 0.0"
+            )
+        if profile.loop.header != loop.header:
+            raise ValueError(
+                f"profile belongs to loop {profile.loop.header}, "
+                f"not {loop.header}"
+            )
     for other in find_loops(function):
         if other.header != loop.header and loop.body < other.body:
             # The loop is entered once per iteration of an enclosing
@@ -173,7 +187,8 @@ def dswp(
     splitter = LoopSplitter(function, loop, graph, partition, queue_limit)
     split = splitter.split()
     estimate = estimate_partition(
-        partition, dag, graph, profile, latency_of, split.flow_plan
+        partition, dag, graph, profile, latency_of, split.flow_plan,
+        scc_cycles=scc_cycles,
     )
     if require_profitable and not estimate.profitable(profit_threshold):
         return DSWPResult(

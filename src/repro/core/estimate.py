@@ -14,6 +14,8 @@ source instruction).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.analysis.pdg import DependenceGraph
 from repro.analysis.profiling import LoopProfile
 from repro.analysis.scc import DagScc
@@ -66,20 +68,25 @@ def estimate_partition(
     latency_of,
     flow_plan: FlowPlan,
     flow_cost: float = 1.0,
+    scc_cycles: Optional[list[float]] = None,
 ) -> PartitionEstimate:
     """Estimate stage cycles and speedup for ``partition``.
 
     ``flow_plan`` must be the deduplicated plan for this partition (the
     splitter's planning pass), so the overhead counts real queues, not
-    raw dependence arcs.
+    raw dependence arcs.  ``scc_cycles`` is
+    :func:`~repro.core.partition.estimated_scc_cycles` of the same
+    ``dag``, ``graph``, ``profile`` and ``latency_of``, for a caller that
+    already has it; it is computed when omitted.
     """
-    scc_cycles = estimated_scc_cycles(dag, graph, profile, latency_of)
+    if scc_cycles is None:
+        scc_cycles = estimated_scc_cycles(dag, graph, profile, latency_of)
     stage_cycles = [
         sum(scc_cycles[scc] for scc in stage) for stage in partition.stages
     ]
     overhead = [0.0] * len(partition)
     for flow in flow_plan.loop_flows:
-        weight = profile.instruction_weight(graph.function, flow.source)
+        weight = profile.instruction_weight(flow.source)
         overhead[flow.src_thread] += flow_cost * weight
         overhead[flow.dst_thread] += flow_cost * weight
     total = sum(scc_cycles)

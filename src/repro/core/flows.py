@@ -110,10 +110,19 @@ class FlowPlan:
         self.initial_flows: list[BoundaryFlow] = []
         self.final_flows: list[BoundaryFlow] = []
         self._loop_keys: dict[tuple, LoopFlow] = {}
+        #: source uid -> its loop flows, in queue order.
+        self._loop_from: dict[int, list[LoopFlow]] = {}
         self._initial_keys: dict[tuple[Register, int], BoundaryFlow] = {}
         self._final_keys: dict[tuple[Register, int], BoundaryFlow] = {}
 
     # ------------------------------------------------------------------
+    def _add_loop_flow(self, key: tuple, flow: LoopFlow) -> None:
+        # Queue ids are allocated in increasing order, so appending keeps
+        # every list in queue order.
+        self._loop_keys[key] = flow
+        self.loop_flows.append(flow)
+        self._loop_from.setdefault(flow.source.uid, []).append(flow)
+
     def add_data_flow(
         self, source: Instruction, register: Register, src_thread: int, dst_thread: int
     ) -> LoopFlow:
@@ -124,8 +133,7 @@ class FlowPlan:
                 FlowKind.DATA, self.allocator.allocate(), source, register,
                 src_thread, dst_thread,
             )
-            self._loop_keys[key] = flow
-            self.loop_flows.append(flow)
+            self._add_loop_flow(key, flow)
         return flow
 
     def add_control_flow(
@@ -138,8 +146,7 @@ class FlowPlan:
                 FlowKind.CONTROL, self.allocator.allocate(), branch,
                 branch.srcs[0], src_thread, dst_thread,
             )
-            self._loop_keys[key] = flow
-            self.loop_flows.append(flow)
+            self._add_loop_flow(key, flow)
         return flow
 
     def add_memory_flow(
@@ -152,8 +159,7 @@ class FlowPlan:
                 FlowKind.MEMORY, self.allocator.allocate(), source, None,
                 src_thread, dst_thread,
             )
-            self._loop_keys[key] = flow
-            self.loop_flows.append(flow)
+            self._add_loop_flow(key, flow)
         return flow
 
     def add_initial_flow(self, register: Register, thread: int) -> BoundaryFlow:
@@ -177,10 +183,7 @@ class FlowPlan:
     # ------------------------------------------------------------------
     def loop_flows_from(self, source: Instruction) -> list[LoopFlow]:
         """Loop flows whose source is ``source`` (stable queue order)."""
-        return sorted(
-            (f for f in self.loop_flows if f.source is source),
-            key=lambda f: f.queue,
-        )
+        return list(self._loop_from.get(source.uid, ()))
 
     def counts(self) -> dict[str, int]:
         """Flow counts in Table 1's three columns: init / loop / final."""

@@ -111,7 +111,7 @@ def estimated_scc_cycles(
     for members in dag.sccs:
         total = 0.0
         for inst in members:
-            weight = profile.instruction_weight(graph.function, inst)
+            weight = profile.instruction_weight(inst)
             total += latency_of(inst) * weight
         cycles.append(total)
     return cycles

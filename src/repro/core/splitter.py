@@ -352,10 +352,8 @@ class LoopSplitter:
         elif term in self._duplicated[thread]:
             flow = next(
                 f
-                for f in self.plan.loop_flows
-                if f.kind is FlowKind.CONTROL
-                and f.source is term
-                and f.dst_thread == thread
+                for f in self.plan.loop_flows_from(term)
+                if f.kind is FlowKind.CONTROL and f.dst_thread == thread
             )
             new_block.append(
                 Instruction(Opcode.CONSUME, dest=term.srcs[0], queue=flow.queue)

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.fuzz.generator import GeneratorConfig
 from repro.interp.memory import Memory
 from repro.ir.builder import IRBuilder
 from repro.ir.types import gen_reg, pred_reg
+
+#: The fuzz generator's large loop shape (8-16 segments, ~150-330
+#: instructions), the shape of the benchmark corpus's fixed tail.
+LARGE_SHAPE = GeneratorConfig(min_segments=8, max_segments=16,
+                              max_straight_stmts=8, max_branch_stmts=6,
+                              min_data_regs=8, max_data_regs=12)
 
 
 def build_list_of_lists():

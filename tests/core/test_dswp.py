@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.analysis.pdg import build_dependence_graph
+from repro.analysis.profiling import LoopProfile
 from repro.core.dswp import dswp
 from repro.core.partition import Partition
+from repro.fuzz.generator import generate_case
 from repro.ir.builder import IRBuilder
 from repro.ir.loops import find_loop_by_header
+from repro.ir.printer import render_function
 from repro.ir.types import Opcode
 from repro.ir.verifier import verify_function
-from repro.workloads import GzipWorkload
+from repro.workloads import GzipWorkload, WcWorkload
+from tests.conftest import LARGE_SHAPE
 
 
 class TestDecline:
@@ -99,3 +104,75 @@ class TestApply:
         result = dswp(func, find_loop_by_header(func, header),
                       require_profitable=False)
         assert "applied" in repr(result)
+
+
+class TestProfileOwnership:
+    """A profile weighs its own loop's instructions by identity, so one
+    taken on another build or another loop would weigh every
+    instruction 0.0; ``dswp`` refuses it instead of silently
+    partitioning by an all-zero profile."""
+
+    def test_profile_of_another_build_raises(self):
+        mine = WcWorkload().build(scale=20)
+        other = WcWorkload().build(scale=20)
+        foreign = LoopProfile.uniform(other.loop)
+        with pytest.raises(ValueError, match="another"):
+            dswp(mine.function, mine.loop, profile=foreign,
+                 require_profitable=False)
+
+    def test_profile_of_another_loop_raises(self, lol):
+        func, header, _ = lol
+        inner = LoopProfile.uniform(find_loop_by_header(func, "BB4"))
+        with pytest.raises(ValueError, match="BB4"):
+            dswp(func, find_loop_by_header(func, header), profile=inner,
+                 require_profitable=False)
+
+
+def _positions(function) -> dict:
+    return {inst: (block.label, index)
+            for block in function.blocks()
+            for index, inst in enumerate(block)}
+
+
+def _arc_list(function, loop) -> list[tuple]:
+    pos = _positions(function)
+    return [(pos[a.src], pos[a.dst], a.kind, a.register, a.loop_carried,
+             a.conditional)
+            for a in build_dependence_graph(function, loop).arcs]
+
+
+def _programs(function, loop) -> list:
+    out = []
+    for threads in (2, 3, 4):
+        result = dswp(function, loop, threads=threads,
+                      require_profitable=False)
+        out.append([render_function(fn) for fn in result.program.threads]
+                   if result.applied else result.reason)
+    return out
+
+
+#: Generated loops where several definitions or branches meet at one
+#: site, so visiting a set of instructions in address order would
+#: reorder arcs and renumber queues.
+DETERMINISM_CASES = (
+    [(seed, False) for seed in (*range(40), 305, 1643, 1862)]
+    + [(seed, True) for seed in (0, 3, 5)]
+)
+
+
+class TestDeterminism:
+    """Two builds of the same code compile to the same pipeline: the
+    dependence graph visits definitions and branches in uid order, not
+    in the memory-address order of a set of instructions."""
+
+    @pytest.mark.parametrize("seed,large", DETERMINISM_CASES)
+    def test_two_builds_compile_identically(self, seed, large):
+        shape = LARGE_SHAPE if large else None
+        # Both builds stay alive, so their instructions sit at
+        # different addresses.
+        first = generate_case(seed, shape)
+        second = generate_case(seed, shape)
+        assert (_arc_list(first.function, first.loop)
+                == _arc_list(second.function, second.loop))
+        assert (_programs(first.function, first.loop)
+                == _programs(second.function, second.loop))

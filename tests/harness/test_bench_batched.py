@@ -24,7 +24,8 @@ from repro.harness.bench import (
     batch_groups,
     sweep_points,
 )
-from repro.harness.runner import run_baseline, run_dswp
+from repro.analysis.profiling import LoopProfile
+from repro.harness.runner import BaselineRun, run_baseline, run_dswp
 from repro.machine.batch import BatchedSimulator
 from repro.machine.cmp import simulate
 from repro.machine.fingerprint import sim_fingerprint
@@ -49,22 +50,21 @@ def _machine(spec: dict) -> MachineConfig:
                          queue_size=spec.get("queue_size", 32))
 
 
-def _group_traces(group: list[dict], baselines: dict):
-    """One group's traces.  Each group builds its own case, and a
-    workload's dswp group reuses the baseline its base group ran: that
-    profile is bound to the other build's loop, so the partitioner sees
-    no instruction weights.  The frozen document was recorded this way
-    (its dswp points are not the bench's -- see CHANGES.md); it pins
-    the timing engines over a fixed trace set."""
+def _group_traces(group: list[dict]):
+    """One group's traces, from a case the group builds itself.
+
+    A dswp group compiles with an explicit all-zero profile, so the
+    partitioner sees no instruction weights.  The frozen document was
+    recorded with a profile of another build of the case, which weighs
+    every instruction 0.0 the same way (its dswp points are not the
+    bench's -- see CHANGES.md); it pins the timing engines over a fixed
+    trace set."""
     spec0 = group[0]
     case = get_workload(spec0["workload"]).build(scale=spec0["scale"])
-    key = (spec0["workload"], spec0["scale"])
-    if key not in baselines:
-        baselines[key] = run_baseline(case)
-    baseline = baselines[key]
     if spec0["kind"] == "base":
-        return [baseline.trace]
-    return run_dswp(case, baseline).traces
+        return [run_baseline(case).trace]
+    unweighted = LoopProfile({}, 1, case.loop)
+    return run_dswp(case, BaselineRun(case, [], unweighted)).traces
 
 
 def _summary(sim) -> dict:
@@ -82,10 +82,9 @@ def sweep_document(scale: int, batched: bool) -> dict:
     must reproduce it byte-for-byte.
     """
     bsim = BatchedSimulator()
-    baselines: dict = {}
     out = []
     for group in batch_groups(sweep_points("fig9a", scale)):
-        traces = _group_traces(group, baselines)
+        traces = _group_traces(group)
         machines = [_machine(spec["machine"]) for spec in group]
         if batched:
             outcomes = bsim.simulate_batch(traces, machines)
@@ -127,12 +126,11 @@ class TestBatchReport:
         scale 30, each batched result deep-compared (``sim_fingerprint``)
         against ``cmp.simulate``."""
         bsim = BatchedSimulator()
-        baselines: dict = {}
         out = []
         for group in batch_groups(sweep_points(figure, 30)):
             if len(group) < 2:
                 continue
-            traces = _group_traces(group, baselines)
+            traces = _group_traces(group)
             machines = [_machine(spec["machine"]) for spec in group]
             outcomes = bsim.simulate_batch(traces, machines)
             for outcome, machine in zip(outcomes, machines):

@@ -6,7 +6,9 @@ identical* to the preserved reference implementations on the fuzz
 generator's seeded loops (irregular control flow, random operand
 shapes -- a much nastier population than the curated workloads), and
 the event-driven timing model must reproduce the reference timing
-model cycle-for-cycle on those traces.
+model cycle-for-cycle on those traces.  The bit-vector, alias-bucketed
+dependence-graph builder must match the reference builder
+(``tests/analysis/reference_pdg.py``) arc for arc, in order.
 
 The tier is bounded (fixed seeds, small loop bounds) so it runs inside
 the normal test suite; deselect with ``-m 'not perf_smoke'``.
@@ -14,14 +16,20 @@ the normal test suite; deselect with ``-m 'not perf_smoke'``.
 
 import pytest
 
+from repro.analysis.memdep import AliasModel
+from repro.analysis.pdg import build_dependence_graph
 from repro.fuzz.generator import generate_case
 from repro.interp.interpreter import run_function
 from repro.interp.predecode import predecode
 from repro.interp.reference import run_function_reference
 from repro.interp.trace import ColumnarTrace
 from repro.machine.cmp import simulate
+from repro.ir.loops import find_loops
 from repro.machine.config import HALF_WIDTH_MACHINE, MachineConfig
 from repro.machine.reference import simulate_reference
+from repro.workloads import ALL_WORKLOADS
+from tests.analysis.reference_pdg import build_reference_graph
+from tests.conftest import LARGE_SHAPE
 
 #: Fixed generator seeds: deterministic, structurally diverse loops.
 SEEDS = tuple(range(12))
@@ -94,3 +102,50 @@ def test_predecode_reuse_is_pure(seed):
     assert first.regs == second.regs
     assert first.steps == second.steps
     assert first.memory.snapshot() == second.memory.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Dependence graph vs the reference builder
+# ----------------------------------------------------------------------
+
+ALIAS_MODELS = {"regions": AliasModel.regions,
+                "conservative": AliasModel.conservative}
+
+
+def _pdg_loops():
+    """Every loop of the registered workloads, 200 default-shape and 20
+    large-shape generated loops."""
+    for workload in ALL_WORKLOADS:
+        function = workload.build(scale=20).function
+        for loop in find_loops(function):
+            yield f"{workload.name}/{loop.header}", function, loop
+    for seed in range(200):
+        case = generate_case(seed)
+        yield f"gen-{seed}", case.function, case.loop
+    for seed in range(20):
+        case = generate_case(seed, LARGE_SHAPE)
+        yield f"gen-large-{seed}", case.function, case.loop
+
+
+def _graph_view(graph) -> tuple:
+    return (
+        [(a.src, a.dst, a.kind, a.register, a.loop_carried, a.conditional)
+         for a in graph.arcs],
+        graph.nodes,
+        graph.live_in_uses,
+        list(graph.live_out_defs.items()),
+    )
+
+
+@pytest.mark.parametrize("model", sorted(ALIAS_MODELS))
+def test_dependence_graph_matches_reference_builder(model):
+    alias_model = ALIAS_MODELS[model]()
+    checked, mismatched = 0, []
+    for name, function, loop in _pdg_loops():
+        got = build_dependence_graph(function, loop, alias_model)
+        want = build_reference_graph(function, loop, alias_model)
+        checked += 1
+        if _graph_view(got) != _graph_view(want):
+            mismatched.append(name)
+    assert checked >= 236
+    assert mismatched == []
